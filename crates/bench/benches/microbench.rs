@@ -1,8 +1,8 @@
-//! Microbenchmarks of the linear-algebra substrate: the decompositions that
-//! dominate compressive sensing and quality assessment.
+//! Microbenchmarks of the linear-algebra substrate: the Cholesky solve of
+//! the ALS normal equations and the GEMM under the neural layers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use drcell_linalg::decomp::{Cholesky, Lu, Qr, Svd};
+use drcell_linalg::decomp::Cholesky;
 use drcell_linalg::gemm::{gemm_reference, Trans};
 use drcell_linalg::Matrix;
 
@@ -26,18 +26,6 @@ fn bench_decompositions(c: &mut Criterion) {
         let b = vec![1.0; n];
         group.bench_with_input(BenchmarkId::new("cholesky_solve", n), &n, |bch, _| {
             bch.iter(|| Cholesky::new(&a).unwrap().solve(&b).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("lu_solve", n), &n, |bch, _| {
-            bch.iter(|| Lu::new(&a).unwrap().solve(&b).unwrap())
-        });
-    }
-    for &(m, n) in &[(32usize, 8usize), (64, 16)] {
-        let a = rect(m, n);
-        group.bench_with_input(BenchmarkId::new("qr", format!("{m}x{n}")), &m, |bch, _| {
-            bch.iter(|| Qr::new(&a).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("svd", format!("{m}x{n}")), &m, |bch, _| {
-            bch.iter(|| Svd::new(&a).unwrap())
         });
     }
     group.finish();

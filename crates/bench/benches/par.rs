@@ -1,12 +1,9 @@
 //! Intra-scenario parallelism benchmark and CI regression gate.
 //!
-//! Times the two hot layers the `drcell-pool` worker pool sits under:
-//!
-//! * the (ε, p)-quality **assessment** (batched leave-one-out engine) at
-//!   the paper's Figure-6 working set, serial (`threads = 1`) vs pooled
-//!   (`threads = 4`), plus the naive backend as the machine yardstick;
-//! * **GEMM** at several row-block counts, serial kernel vs pooled
-//!   row-block kernel.
+//! Times the hot layer the `drcell-pool` worker pool sits under: the
+//! (ε, p)-quality **assessment** (batched leave-one-out engine) at the
+//! paper's Figure-6 working set, serial (`threads = 1`) vs pooled
+//! (`threads = 4`), plus the naive backend as the machine yardstick.
 //!
 //! Modes (same harness pattern as the `loo`/`train_step` gates):
 //!
@@ -17,8 +14,8 @@
 //!
 //! The gates, and where each runs:
 //!
-//! 1. **Bit-identity (always, same run):** pooled assessment results and
-//!    pooled GEMM outputs must equal their serial counterparts exactly.
+//! 1. **Bit-identity (always, same run):** pooled assessment results must
+//!    equal their serial counterparts exactly.
 //! 2. **Single-thread overhead ≤ 5% (machine-independent):** the serial
 //!    batched median, normalised by the same-run naive median, must not
 //!    exceed the baseline's normalised value by more than 5% — the pool
@@ -29,26 +26,22 @@
 //!    not hard-fail its first run there); otherwise the measured speedup
 //!    is printed with a re-record note.
 //! 4. **≤ 15% median regression:** naive-normalised ratios against the
-//!    baseline for the serial path always; for the pooled path and the
-//!    pooled/serial GEMM ratios only when this machine **and** the
-//!    baseline both have ≥ 4 hardware threads (below that, pooled timings
-//!    measure scheduler oversubscription noise, not the kernel). Absolute
-//!    medians are additionally compared when the baseline's naive median
-//!    shows a comparable machine (within 0.7–1.4×).
+//!    baseline for the serial path always; for the pooled path only when
+//!    this machine **and** the baseline both have ≥ 4 hardware threads
+//!    (below that, pooled timings measure scheduler oversubscription
+//!    noise, not the kernel). Absolute medians are additionally compared
+//!    when the baseline's naive median shows a comparable machine (within
+//!    0.7–1.4×).
 
 use criterion::black_box;
 use drcell_bench::{gate, loo_working_set, median_us};
 use drcell_core::RunnerConfig;
 use drcell_inference::{BatchedLooEngine, CompressiveSensing, NaiveLooSolver};
-use drcell_linalg::gemm::{gemm_into, gemm_into_pool, Pool, Trans};
-use drcell_linalg::Matrix;
 use drcell_pool::hardware_threads;
 use drcell_quality::{ErrorMetric, QualityAssessor, QualityRequirement};
 
 /// Worker count of the pooled measurements (the gate's "at 4 threads").
 const POOL_THREADS: usize = 4;
-/// GEMM sizes: 2, 3 and 4 row blocks of the `MC = 128` kernel.
-const GEMM_SIZES: [usize; 3] = [192, 320, 448];
 
 fn assessor() -> QualityAssessor {
     QualityAssessor::new(
@@ -63,8 +56,6 @@ struct Medians {
     naive_us: f64,
     serial_us: f64,
     pooled_us: f64,
-    /// `(n, serial_us, pooled_us)` per GEMM size.
-    gemm: Vec<(usize, f64, f64)>,
 }
 
 impl Medians {
@@ -73,21 +64,11 @@ impl Medians {
     }
 }
 
-fn dense(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    Matrix::from_fn(rows, cols, |_, _| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-    })
-}
-
 /// One assessment per iteration at the runner's default assessment
 /// tolerances, 16 sensed cells — the steady state of the selection loop —
 /// through the naive backend, the serial batched engine and the pooled
-/// batched engine, plus the GEMM pair. Verifies pooled ≡ serial exactly
-/// before timing anything.
+/// batched engine. Verifies pooled ≡ serial exactly before timing
+/// anything.
 fn measure() -> Medians {
     let cfg = RunnerConfig::default().assessment_inference;
     let obs = loo_working_set(16);
@@ -135,44 +116,11 @@ fn measure() -> Medians {
         black_box(assessor.assess_with(&obs, cycle, &mut engine).unwrap());
     });
 
-    let mut gemm = Vec::new();
-    for &n in &GEMM_SIZES {
-        let a = dense(n, n, 7);
-        let b = dense(n, n, 11);
-        let mut serial_c = Matrix::zeros(n, n);
-        let mut pooled_c = Matrix::zeros(n, n);
-        gemm_into(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut serial_c).unwrap();
-        gemm_into_pool(
-            1.0,
-            &a,
-            Trans::No,
-            &b,
-            Trans::No,
-            0.0,
-            &mut pooled_c,
-            &Pool::new(POOL_THREADS),
-        )
-        .unwrap();
-        assert_eq!(serial_c, pooled_c, "pooled GEMM diverged at n = {n}");
-
-        let serial_us = median_us(9, || {
-            gemm_into(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut serial_c).unwrap();
-            black_box(&serial_c);
-        });
-        let pool = Pool::new(POOL_THREADS);
-        let pooled_us = median_us(9, || {
-            gemm_into_pool(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut pooled_c, &pool).unwrap();
-            black_box(&pooled_c);
-        });
-        gemm.push((n, serial_us, pooled_us));
-    }
-
     Medians {
         hw_threads: hardware_threads(),
         naive_us,
         serial_us,
         pooled_us,
-        gemm,
     }
 }
 
@@ -184,15 +132,9 @@ fn to_json(m: &Medians) -> String {
     s.push_str(&format!("  \"serial_us\": {:.1},\n", m.serial_us));
     s.push_str(&format!("  \"pooled_us\": {:.1},\n", m.pooled_us));
     s.push_str(&format!(
-        "  \"assess_speedup\": {:.2},\n",
+        "  \"assess_speedup\": {:.2}\n",
         m.assess_speedup()
     ));
-    for (i, (n, serial, pooled)) in m.gemm.iter().enumerate() {
-        let sep = if i + 1 == m.gemm.len() { "\n" } else { ",\n" };
-        s.push_str(&format!(
-            "  \"gemm{n}_serial_us\": {serial:.1},\n  \"gemm{n}_pooled_us\": {pooled:.1}{sep}"
-        ));
-    }
     s.push_str("}\n");
     s
 }
@@ -202,7 +144,7 @@ fn main() {
 
     let m = measure();
     println!(
-        "group: par (assessment 57x24, 16 sensed; GEMM {GEMM_SIZES:?}; {} hw thread(s))",
+        "group: par (assessment 57x24, 16 sensed; {} hw thread(s))",
         m.hw_threads
     );
     println!("  assess/naive        median {:>10.1} µs", m.naive_us);
@@ -212,12 +154,6 @@ fn main() {
         m.pooled_us
     );
     println!("  assess speedup      {:>17.2}x", m.assess_speedup());
-    for &(n, serial, pooled) in &m.gemm {
-        println!(
-            "  gemm{n:<4} serial {serial:>10.1} µs | pooled(x{POOL_THREADS}) {pooled:>10.1} µs | {:>5.2}x",
-            serial / pooled
-        );
-    }
 
     if let Some(path) = gate::flag(&args, "--write") {
         gate::write_baseline(&path, &to_json(&m));
@@ -315,19 +251,6 @@ fn main() {
                     max_regression * 100.0
                 );
                 failed = true;
-            }
-            for &(n, serial, pooled) in &m.gemm {
-                let ratio = pooled / serial;
-                let base_ratio =
-                    field(&format!("gemm{n}_pooled_us")) / field(&format!("gemm{n}_serial_us"));
-                if ratio > base_ratio * (1.0 + max_regression) {
-                    eprintln!(
-                        "REGRESSION: gemm{n} pooled/serial ratio {ratio:.4} exceeds baseline \
-                         {base_ratio:.4} by more than {:.0}%",
-                        max_regression * 100.0
-                    );
-                    failed = true;
-                }
             }
         } else {
             println!(

@@ -4,9 +4,9 @@
 //! this library holds the shared task builders and the scale switch so the
 //! same code paths serve both the full paper-scale runs and quick
 //! smoke-test runs. The `benches/` directory additionally hosts the CI
-//! regression gates (`loo`, `train_step`, `par`, `decomp`), all built on
-//! the [`gate`] module and the committed `BENCH_*.json` baselines at the
-//! repository root.
+//! regression gates (`loo`, `train_step`, `par`, `serve`, `load`, `simd`),
+//! all built on the [`gate`] module and the committed `BENCH_*.json`
+//! baselines at the repository root.
 //!
 //! ## Baselines: recording and re-recording
 //!
@@ -33,7 +33,7 @@
 //!   threads; a contract never measured on a runner class must not
 //!   hard-fail its first run there).
 //!
-//! **The committed `BENCH_par.json` was recorded on a 1-core container**,
+//! **The committed `BENCH_par.json` was recorded on a 2-thread machine**,
 //! so the ≥ 2×-pooled-at-4-threads gate and the pooled-ratio regressions
 //! currently print-and-skip. To arm them, re-record on any ≥ 4-thread
 //! machine (a standard 4-vCPU CI runner qualifies — check `nproc`):
@@ -204,7 +204,7 @@ pub fn median_us<F: FnMut()>(samples: usize, mut f: F) -> f64 {
 }
 
 /// Shared plumbing of the gated regression benches (`loo`, `train_step`,
-/// `par`, `decomp`): workspace-root path resolution, the flat-JSON baseline
+/// `par`, `serve`, `load`, `simd`): workspace-root path resolution, the flat-JSON baseline
 /// format, and `--flag value` argument parsing. One definition so every
 /// gate reads and writes baselines the same way.
 pub mod gate {

@@ -242,34 +242,17 @@ impl<'a> SparseMcsRunner<'a> {
         policy: &mut dyn CellSelectionPolicy,
         rng: &mut dyn RngCore,
     ) -> Result<RunReport, CoreError> {
-        self.run_with_hook(policy, rng, &mut |_| {})
+        self.run_with_control(policy, rng, &mut |_| ControlFlow::Continue(()))
     }
 
     /// Runs the policy over every testing cycle, invoking `hook` with each
     /// finished [`CycleRecord`] — the streaming surface scenario engines and
-    /// progress reporters attach to.
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy, inference and assessment failures.
-    pub fn run_with_hook(
-        &self,
-        policy: &mut dyn CellSelectionPolicy,
-        rng: &mut dyn RngCore,
-        hook: &mut dyn FnMut(&CycleRecord),
-    ) -> Result<RunReport, CoreError> {
-        self.run_with_control(policy, rng, &mut |record| {
-            hook(record);
-            ControlFlow::Continue(())
-        })
-    }
-
-    /// Like [`SparseMcsRunner::run_with_hook`], but the hook decides after
-    /// every finished cycle whether the run continues — the cancellation
-    /// and deadline surface long-running services sit on. Returning
-    /// [`ControlFlow::Break`] with a [`StopReason`] stops the run at the
-    /// next cycle boundary (cycles are never truncated mid-selection, so
-    /// every record the hook has seen is a complete, final row).
+    /// progress reporters attach to. The hook decides after every finished
+    /// cycle whether the run continues — the cancellation and deadline
+    /// surface long-running services sit on. Returning [`ControlFlow::Break`]
+    /// with a [`StopReason`] stops the run at the next cycle boundary
+    /// (cycles are never truncated mid-selection, so every record the hook
+    /// has seen is a complete, final row).
     ///
     /// # Errors
     ///
@@ -529,8 +512,9 @@ mod tests {
         let mut seen = Vec::new();
         let report = SparseMcsRunner::new(&task, config())
             .unwrap()
-            .run_with_hook(&mut RandomPolicy::new(), &mut rng, &mut |r| {
-                seen.push(r.cycle)
+            .run_with_control(&mut RandomPolicy::new(), &mut rng, &mut |r| {
+                seen.push(r.cycle);
+                ControlFlow::Continue(())
             })
             .unwrap();
         let expected: Vec<usize> = report.cycles.iter().map(|c| c.cycle).collect();

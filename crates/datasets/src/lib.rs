@@ -34,8 +34,6 @@ mod sensorscope;
 mod summary;
 mod uair;
 
-pub mod trace;
-
 pub use aqi::AqiCategory;
 pub use data_matrix::DataMatrix;
 pub use field::{FieldConfig, FieldGenerator};

@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = InferenceError::Numerical(LinalgError::Singular { pivot: 1 });
+        let e = InferenceError::Numerical(LinalgError::NotPositiveDefinite { column: 1 });
         assert!(e.to_string().contains("numerical"));
         assert!(e.source().is_some());
         assert!(InferenceError::NoObservations.source().is_none());

@@ -60,7 +60,6 @@ mod error;
 mod knn;
 mod loo;
 mod observed;
-mod svt;
 mod temporal;
 
 pub use committee::Committee;
@@ -69,7 +68,6 @@ pub use error::InferenceError;
 pub use knn::KnnInference;
 pub use loo::{AssessmentBackend, BatchedLooEngine, EngineStats, LooSolver, NaiveLooSolver};
 pub use observed::ObservedMatrix;
-pub use svt::{SvtConfig, SvtInference};
 pub use temporal::{GlobalMeanInference, TemporalInference};
 
 use drcell_datasets::DataMatrix;

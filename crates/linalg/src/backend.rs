@@ -1,4 +1,4 @@
-//! Pluggable compute backends: runtime-detected SIMD kernels behind a
+//! Compute backends: runtime-detected SIMD kernels behind a
 //! process-wide selection, with the scalar loops kept as the bit-exact
 //! oracle.
 //!
@@ -241,103 +241,6 @@ pub fn startup_line() -> String {
     format!("compute backend: {} ({detail})", kind.name())
 }
 
-/// The backend abstraction future BLAS/GPU implementations slot into:
-/// a named kernel set. The two built-in implementations delegate to the
-/// dispatched kernels in [`crate::kernels`]; hot loops call those free
-/// functions directly (enum dispatch inlines, trait objects do not), so
-/// the trait is the *extension surface*, not the hot path.
-pub trait ComputeBackend: std::fmt::Debug + Send + Sync {
-    /// The kernel set this backend dispatches to.
-    fn kind(&self) -> BackendKind;
-
-    /// Stable lowercase name.
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Human-readable capability description for logs.
-    fn description(&self) -> String;
-
-    /// `C ← α·op(A)·op(B) + β·C` over row-major slices (see
-    /// [`crate::gemm::gemm_slice`]); runs this backend's micro-kernel.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_slice(
-        &self,
-        alpha: f64,
-        a: &[f64],
-        a_rows: usize,
-        a_cols: usize,
-        ta: crate::gemm::Trans,
-        b: &[f64],
-        b_rows: usize,
-        b_cols: usize,
-        tb: crate::gemm::Trans,
-        beta: f64,
-        c: &mut [f64],
-    ) -> Result<(), crate::LinalgError> {
-        crate::gemm::gemm_slice_with_kind(
-            self.kind(),
-            alpha,
-            a,
-            a_rows,
-            a_cols,
-            ta,
-            b,
-            b_rows,
-            b_cols,
-            tb,
-            beta,
-            c,
-        )
-    }
-
-    /// Accumulates one observation into a gram/right-hand-side pair (see
-    /// [`crate::kernels::gram_rhs_update`]).
-    fn gram_rhs_update(&self, gram: &mut [f64], rhs: &mut [f64], d: f64, vt: &[f64]) {
-        crate::kernels::gram_rhs_update(self.kind(), gram, rhs, d, vt);
-    }
-}
-
-/// The scalar oracle backend.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalarBackend;
-
-impl ComputeBackend for ScalarBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Scalar
-    }
-
-    fn description(&self) -> String {
-        "portable scalar loops (bit-exact oracle)".to_owned()
-    }
-}
-
-/// The runtime-detected x86-64 SIMD backend.
-#[derive(Debug, Clone, Copy)]
-pub struct SimdBackend;
-
-impl ComputeBackend for SimdBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Simd
-    }
-
-    fn description(&self) -> String {
-        match simd_tier() {
-            Some(tier) => format!("{tier} tiles, bitwise-identical to scalar"),
-            None => "unavailable on this host".to_owned(),
-        }
-    }
-}
-
-/// The active backend as a trait object (the extension surface; hot
-/// paths use [`active_kind`] and the [`crate::kernels`] free functions).
-pub fn active() -> &'static dyn ComputeBackend {
-    match active_kind() {
-        BackendKind::Scalar => &ScalarBackend,
-        BackendKind::Simd => &SimdBackend,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,14 +284,5 @@ mod tests {
             BackendKind::Scalar => BackendChoice::Scalar,
             BackendKind::Simd => BackendChoice::Simd,
         });
-    }
-
-    #[test]
-    fn trait_objects_report_their_kind() {
-        assert_eq!(ScalarBackend.name(), "scalar");
-        assert_eq!(SimdBackend.name(), "simd");
-        assert!(ScalarBackend.description().contains("oracle"));
-        let b = active();
-        assert_eq!(b.kind(), active_kind());
     }
 }

@@ -1,18 +1,9 @@
-//! Matrix decompositions: LU, Cholesky, QR, symmetric eigen, SVD.
+//! Matrix decompositions: Cholesky.
 //!
-//! Each decomposition is a struct produced by a constructor that consumes or
-//! borrows a [`crate::Matrix`] and exposes solve/reconstruct methods. All
-//! algorithms are textbook implementations tuned for the small dense problems
-//! (tens to low hundreds of rows) that the DR-Cell pipeline produces.
+//! [`Cholesky`] is the allocating reference factorisation that the
+//! in-place ALS solver [`crate::solve::solve_spd_in_place`] is pinned
+//! against bit for bit.
 
 mod cholesky;
-mod eigen;
-mod lu;
-mod qr;
-mod svd;
 
 pub use cholesky::Cholesky;
-pub use eigen::SymmetricEigen;
-pub use lu::Lu;
-pub use qr::Qr;
-pub use svd::Svd;

@@ -17,23 +17,10 @@ pub enum LinalgError {
         /// Shape of the right/second operand as `(rows, cols)`.
         rhs: (usize, usize),
     },
-    /// The matrix is singular (or numerically singular) and cannot be
-    /// factorised or inverted.
-    Singular {
-        /// Pivot index where the breakdown was detected.
-        pivot: usize,
-    },
     /// The matrix is not positive definite (Cholesky breakdown).
     NotPositiveDefinite {
         /// Column index where the non-positive pivot was found.
         column: usize,
-    },
-    /// An iterative algorithm failed to converge within its iteration budget.
-    NoConvergence {
-        /// Human-readable name of the algorithm.
-        algorithm: &'static str,
-        /// Number of iterations performed before giving up.
-        iterations: usize,
     },
     /// Construction from ragged row data (rows of differing lengths).
     RaggedRows {
@@ -59,19 +46,9 @@ impl fmt::Display for LinalgError {
                 "shape mismatch in {op}: left is {}x{}, right is {}x{}",
                 lhs.0, lhs.1, rhs.0, rhs.1
             ),
-            LinalgError::Singular { pivot } => {
-                write!(f, "matrix is singular at pivot {pivot}")
-            }
             LinalgError::NotPositiveDefinite { column } => {
                 write!(f, "matrix is not positive definite at column {column}")
             }
-            LinalgError::NoConvergence {
-                algorithm,
-                iterations,
-            } => write!(
-                f,
-                "{algorithm} did not converge after {iterations} iterations"
-            ),
             LinalgError::RaggedRows {
                 row,
                 expected,
@@ -106,8 +83,9 @@ mod tests {
 
     #[test]
     fn error_trait_object_works() {
-        let e: Box<dyn Error + Send + Sync> = Box::new(LinalgError::Singular { pivot: 3 });
-        assert!(e.to_string().contains("pivot 3"));
+        let e: Box<dyn Error + Send + Sync> =
+            Box::new(LinalgError::NotPositiveDefinite { column: 3 });
+        assert!(e.to_string().contains("column 3"));
     }
 
     #[test]
@@ -117,8 +95,8 @@ mod tests {
             LinalgError::Empty { op: "mean" }
         );
         assert_ne!(
-            LinalgError::Singular { pivot: 0 },
-            LinalgError::Singular { pivot: 1 }
+            LinalgError::NotPositiveDefinite { column: 0 },
+            LinalgError::NotPositiveDefinite { column: 1 }
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Cache-blocked general matrix multiply (GEMM) — the dense kernel layer
 //! under every hot path of the workspace: neural-network training, the
-//! compressive-sensing normal equations, and the decompositions.
+//! compressive-sensing normal equations, and `Matrix::matmul`.
 //!
 //! The core operation is the BLAS-3 update
 //!
@@ -12,8 +12,8 @@
 //! panels of `A` and `B` are packed into contiguous buffers sized for the
 //! L1/L2 caches, and an `MR × NR` register-tiled micro-kernel runs a
 //! branch-free fused inner loop over the packed panels. The packing
-//! buffers live in a reusable [`GemmWorkspace`] (or a thread-local one for
-//! the convenience entry points), so steady-state callers perform **zero
+//! buffers live in a per-thread workspace that grows to its high-water
+//! mark and is then reused, so steady-state callers perform **zero
 //! allocations** per multiply.
 //!
 //! # Numerical contract
@@ -54,10 +54,6 @@
 //! ```
 
 use std::cell::RefCell;
-
-/// Re-exported so `gemm_slice_pool`/`gemm_into_pool` callers need no direct
-/// `drcell-pool` dependency.
-pub use drcell_pool::Pool;
 
 use crate::backend::{self, BackendKind};
 use crate::{LinalgError, Matrix};
@@ -107,28 +103,18 @@ const MC: usize = 128;
 /// Column cache block: `KC × NC` of packed `B` targets the L3 cache.
 const NC: usize = 1024;
 
-/// Reusable packing buffers for [`gemm_into_ws`] / [`gemm_slice_ws`].
-///
-/// The buffers grow to the high-water mark of the block sizes used and are
-/// then reused, so a long-lived workspace makes repeated multiplies
-/// allocation-free.
-#[derive(Debug, Default, Clone)]
-pub struct GemmWorkspace {
+/// Packing buffers. They grow to the high-water mark of the block sizes
+/// used and are then reused, so repeated multiplies are allocation-free.
+#[derive(Default)]
+struct GemmWorkspace {
     pack_a: Vec<f64>,
     pack_b: Vec<f64>,
 }
 
-impl GemmWorkspace {
-    /// Creates an empty workspace (buffers grow on first use).
-    pub fn new() -> Self {
-        GemmWorkspace::default()
-    }
-}
-
 thread_local! {
-    /// Shared workspace for the convenience entry points; per-thread so the
-    /// scenario engine's parallel sweeps never contend.
-    static THREAD_WS: RefCell<GemmWorkspace> = RefCell::new(GemmWorkspace::new());
+    /// The packing workspace of every multiply on this thread; per-thread
+    /// so the scenario engine's parallel sweeps never contend.
+    static THREAD_WS: RefCell<GemmWorkspace> = RefCell::new(GemmWorkspace::default());
 }
 
 /// Dimensions of `op(X)` for a stored `rows × cols` operand.
@@ -149,8 +135,8 @@ fn op_at(x: &[f64], cols: usize, t: Trans, r: usize, c: usize) -> f64 {
     }
 }
 
-/// `C ← α·op(A)·op(B) + β·C` over raw row-major slices, with an explicit
-/// workspace.
+/// `C ← α·op(A)·op(B) + β·C` over raw row-major slices, on the active
+/// compute backend.
 ///
 /// `a` is a stored `a_rows × a_cols` matrix (and likewise `b`); the
 /// transpose flags select how each enters the product. `c` must hold the
@@ -168,7 +154,7 @@ fn op_at(x: &[f64], cols: usize, t: Trans, r: usize, c: usize) -> f64 {
 /// `op(A)` and `op(B)` differ or a slice length does not match its claimed
 /// shape.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_slice_ws(
+pub fn gemm_slice(
     alpha: f64,
     a: &[f64],
     a_rows: usize,
@@ -180,9 +166,8 @@ pub fn gemm_slice_ws(
     tb: Trans,
     beta: f64,
     c: &mut [f64],
-    ws: &mut GemmWorkspace,
 ) -> Result<(), LinalgError> {
-    gemm_slice_ws_with_kind(
+    gemm_slice_with_kind(
         backend::active_kind(),
         alpha,
         a,
@@ -195,18 +180,53 @@ pub fn gemm_slice_ws(
         tb,
         beta,
         c,
-        ws,
     )
 }
 
-/// [`gemm_slice_ws`] with an explicit backend kind — the layer the
-/// differential oracle tests drive to compare backends in one process.
+/// [`gemm_slice`] with an explicit backend kind — the layer the
+/// differential oracle tests and the SIMD bench drive to compare backends
+/// in one process.
 ///
 /// # Errors
 ///
-/// See [`gemm_slice_ws`].
+/// See [`gemm_slice`].
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_slice_ws_with_kind(
+pub fn gemm_slice_with_kind(
+    kind: BackendKind,
+    alpha: f64,
+    a: &[f64],
+    a_rows: usize,
+    a_cols: usize,
+    ta: Trans,
+    b: &[f64],
+    b_rows: usize,
+    b_cols: usize,
+    tb: Trans,
+    beta: f64,
+    c: &mut [f64],
+) -> Result<(), LinalgError> {
+    THREAD_WS.with(|ws| {
+        gemm_blocked(
+            kind,
+            alpha,
+            a,
+            a_rows,
+            a_cols,
+            ta,
+            b,
+            b_rows,
+            b_cols,
+            tb,
+            beta,
+            c,
+            &mut ws.borrow_mut(),
+        )
+    })
+}
+
+/// The blocked driver behind [`gemm_slice_with_kind`], packing into `ws`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_blocked(
     kind: BackendKind,
     alpha: f64,
     a: &[f64],
@@ -263,45 +283,6 @@ pub fn gemm_slice_ws_with_kind(
         }
     }
     Ok(())
-}
-
-/// [`gemm_slice_ws_with_kind`] against the shared per-thread workspace.
-///
-/// # Errors
-///
-/// See [`gemm_slice_ws`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_slice_with_kind(
-    kind: BackendKind,
-    alpha: f64,
-    a: &[f64],
-    a_rows: usize,
-    a_cols: usize,
-    ta: Trans,
-    b: &[f64],
-    b_rows: usize,
-    b_cols: usize,
-    tb: Trans,
-    beta: f64,
-    c: &mut [f64],
-) -> Result<(), LinalgError> {
-    THREAD_WS.with(|ws| {
-        gemm_slice_ws_with_kind(
-            kind,
-            alpha,
-            a,
-            a_rows,
-            a_cols,
-            ta,
-            b,
-            b_rows,
-            b_cols,
-            tb,
-            beta,
-            c,
-            &mut ws.borrow_mut(),
-        )
-    })
 }
 
 /// `c ← β·c` respecting the BLAS `β = 0` overwrite convention.
@@ -484,254 +465,6 @@ fn micro_kernel(
     }
 }
 
-/// Minimum product size (`m·n·k` multiply-adds) before the pooled entry
-/// points fan row blocks out; smaller multiplies run the serial kernel
-/// unchanged (the per-call spawn cost would dominate).
-const PAR_MIN_FLOPS: usize = 1 << 20;
-
-/// [`gemm_slice_ws`] with the `ic` row blocks fanned across `pool`.
-///
-/// Workers are spawned **once per call**: each claims `MC`-row blocks of
-/// `C` and runs the full serial `(jc, pc)` panel loop over its block with
-/// a per-worker [`GemmWorkspace`] reused across every panel. Per `C`
-/// element the accumulation order (`jc` → ascending `pc` → ascending `k`
-/// in the micro-kernel, `β` applied on the first `k` block) is exactly the
-/// serial kernel's, and blocks write disjoint row ranges, so the output is
-/// **bit-identical** to [`gemm_slice_ws`] at any worker count. The only
-/// duplicated work is the `B` panel packing (once per row block instead of
-/// once), an `O(blocks/m)` ≈ 1% overhead at `MC = 128`. Small problems
-/// (under `PAR_MIN_FLOPS` = 2²⁰ multiply-adds, or a single row block) take the
-/// serial path outright.
-///
-/// # Errors
-///
-/// See [`gemm_slice_ws`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_slice_pool(
-    alpha: f64,
-    a: &[f64],
-    a_rows: usize,
-    a_cols: usize,
-    ta: Trans,
-    b: &[f64],
-    b_rows: usize,
-    b_cols: usize,
-    tb: Trans,
-    beta: f64,
-    c: &mut [f64],
-    ws: &mut GemmWorkspace,
-    pool: &Pool,
-) -> Result<(), LinalgError> {
-    let (m, ka) = op_shape(a_rows, a_cols, ta);
-    let (kb, n) = op_shape(b_rows, b_cols, tb);
-    if ka != kb || a.len() != a_rows * a_cols || b.len() != b_rows * b_cols || c.len() != m * n {
-        return Err(LinalgError::ShapeMismatch {
-            op: "gemm",
-            lhs: (m, ka),
-            rhs: (kb, n),
-        });
-    }
-    let k = ka;
-    let blocks = m.div_ceil(MC);
-    let workers = if m.saturating_mul(n).saturating_mul(k) < PAR_MIN_FLOPS {
-        1
-    } else {
-        pool.workers_for(blocks)
-    };
-    if workers <= 1 || k == 0 {
-        return gemm_slice_ws(
-            alpha, a, a_rows, a_cols, ta, b, b_rows, b_cols, tb, beta, c, ws,
-        );
-    }
-
-    // One backend/tile decision per call, shared by every worker, so a
-    // concurrent re-selection can never split a multiply across kernels.
-    let (mr, nr, micro) = tile_for(backend::active_kind());
-    let kc_max = k.min(KC);
-    Pool::new(workers).run_slots(
-        c,
-        MC * n,
-        GemmWorkspace::new,
-        |blk, c_rows, ws: &mut GemmWorkspace| {
-            let ic = blk * MC;
-            let mc = MC.min(m - ic);
-            // Sized for the largest block; no-ops on every later block
-            // this worker claims (a partial final block must not shrink
-            // the buffer it would only have to regrow).
-            ws.pack_a.resize(MC.min(m).div_ceil(mr) * mr * kc_max, 0.0);
-            ws.pack_b.resize(NC.min(n).div_ceil(nr) * nr * kc_max, 0.0);
-            for jc in (0..n).step_by(NC) {
-                let nc = NC.min(n - jc);
-                for pc in (0..k).step_by(KC) {
-                    let kc = KC.min(k - pc);
-                    // β applies once, on the first k block; later blocks
-                    // continue accumulating onto the partial sums already
-                    // in C — same rule as the serial kernel, preserved per
-                    // row block.
-                    let beta_eff = if pc == 0 { beta } else { 1.0 };
-                    pack_b_panel(&mut ws.pack_b, b, b_cols, tb, pc, kc, jc, nc, nr);
-                    pack_a_panel(&mut ws.pack_a, a, a_cols, ta, alpha, ic, mc, pc, kc, mr);
-                    // `c_rows` starts at row `ic`, so the kernel runs with
-                    // a zero row base over the block's own slice.
-                    macro_kernel(
-                        &ws.pack_a, &ws.pack_b, c_rows, n, 0, mc, jc, nc, kc, beta_eff, mr, nr,
-                        micro,
-                    );
-                }
-            }
-        },
-    );
-    Ok(())
-}
-
-/// [`gemm_into_ws`] with the row blocks fanned across `pool` (bit-identical
-/// to the serial kernel; see [`gemm_slice_pool`]). The shared per-thread
-/// workspace serves the serial fallback; the pooled path uses per-worker
-/// workspaces.
-///
-/// # Errors
-///
-/// See [`gemm_into_ws`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into_pool(
-    alpha: f64,
-    a: &Matrix,
-    ta: Trans,
-    b: &Matrix,
-    tb: Trans,
-    beta: f64,
-    c: &mut Matrix,
-    pool: &Pool,
-) -> Result<(), LinalgError> {
-    let (m, _) = op_shape(a.rows(), a.cols(), ta);
-    let (_, n) = op_shape(b.rows(), b.cols(), tb);
-    if c.shape() != (m, n) {
-        return Err(LinalgError::ShapeMismatch {
-            op: "gemm",
-            lhs: (m, n),
-            rhs: c.shape(),
-        });
-    }
-    let (ar, ac) = a.shape();
-    let (br, bc) = b.shape();
-    THREAD_WS.with(|ws| {
-        gemm_slice_pool(
-            alpha,
-            a.as_slice(),
-            ar,
-            ac,
-            ta,
-            b.as_slice(),
-            br,
-            bc,
-            tb,
-            beta,
-            c.as_mut_slice(),
-            &mut ws.borrow_mut(),
-            pool,
-        )
-    })
-}
-
-/// [`gemm_slice_ws`] with the shared per-thread workspace.
-///
-/// # Errors
-///
-/// See [`gemm_slice_ws`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_slice(
-    alpha: f64,
-    a: &[f64],
-    a_rows: usize,
-    a_cols: usize,
-    ta: Trans,
-    b: &[f64],
-    b_rows: usize,
-    b_cols: usize,
-    tb: Trans,
-    beta: f64,
-    c: &mut [f64],
-) -> Result<(), LinalgError> {
-    THREAD_WS.with(|ws| {
-        gemm_slice_ws(
-            alpha,
-            a,
-            a_rows,
-            a_cols,
-            ta,
-            b,
-            b_rows,
-            b_cols,
-            tb,
-            beta,
-            c,
-            &mut ws.borrow_mut(),
-        )
-    })
-}
-
-/// `C ← α·op(A)·op(B) + β·C` on `Matrix` values with an explicit
-/// workspace. `c` must already have the `m × n` result shape.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::ShapeMismatch`] on inner-dimension or output
-/// shape mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into_ws(
-    alpha: f64,
-    a: &Matrix,
-    ta: Trans,
-    b: &Matrix,
-    tb: Trans,
-    beta: f64,
-    c: &mut Matrix,
-    ws: &mut GemmWorkspace,
-) -> Result<(), LinalgError> {
-    let (m, _) = op_shape(a.rows(), a.cols(), ta);
-    let (_, n) = op_shape(b.rows(), b.cols(), tb);
-    if c.shape() != (m, n) {
-        return Err(LinalgError::ShapeMismatch {
-            op: "gemm",
-            lhs: (m, n),
-            rhs: c.shape(),
-        });
-    }
-    let (ar, ac) = a.shape();
-    let (br, bc) = b.shape();
-    gemm_slice_ws(
-        alpha,
-        a.as_slice(),
-        ar,
-        ac,
-        ta,
-        b.as_slice(),
-        br,
-        bc,
-        tb,
-        beta,
-        c.as_mut_slice(),
-        ws,
-    )
-}
-
-/// [`gemm_into_ws`] with the shared per-thread workspace.
-///
-/// # Errors
-///
-/// See [`gemm_into_ws`].
-pub fn gemm_into(
-    alpha: f64,
-    a: &Matrix,
-    ta: Trans,
-    b: &Matrix,
-    tb: Trans,
-    beta: f64,
-    c: &mut Matrix,
-) -> Result<(), LinalgError> {
-    THREAD_WS.with(|ws| gemm_into_ws(alpha, a, ta, b, tb, beta, c, &mut ws.borrow_mut()))
-}
-
 /// Allocates and returns `α·op(A)·op(B)`.
 ///
 /// # Errors
@@ -748,7 +481,19 @@ pub fn gemm(
     let (m, _) = op_shape(a.rows(), a.cols(), ta);
     let (_, n) = op_shape(b.rows(), b.cols(), tb);
     let mut c = Matrix::zeros(m, n);
-    gemm_into(alpha, a, ta, b, tb, 0.0, &mut c)?;
+    gemm_slice(
+        alpha,
+        a.as_slice(),
+        a.rows(),
+        a.cols(),
+        ta,
+        b.as_slice(),
+        b.rows(),
+        b.cols(),
+        tb,
+        0.0,
+        c.as_mut_slice(),
+    )?;
     Ok(c)
 }
 
@@ -809,6 +554,33 @@ mod tests {
         })
     }
 
+    /// [`gemm_slice`] on `Matrix` operands.
+    fn gemm_matrix(
+        alpha: f64,
+        a: &Matrix,
+        ta: Trans,
+        b: &Matrix,
+        tb: Trans,
+        beta: f64,
+        c: &mut Matrix,
+    ) -> Result<(), LinalgError> {
+        let (ar, ac) = a.shape();
+        let (br, bc) = b.shape();
+        gemm_slice(
+            alpha,
+            a.as_slice(),
+            ar,
+            ac,
+            ta,
+            b.as_slice(),
+            br,
+            bc,
+            tb,
+            beta,
+            c.as_mut_slice(),
+        )
+    }
+
     fn assert_close(a: &Matrix, b: &Matrix, tol: f64) {
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.iter().zip(b.iter()) {
@@ -833,7 +605,7 @@ mod tests {
                     let mut want = dense(m, n, 3);
                     let mut got = want.clone();
                     gemm_reference(0.7, &a, ta, &b, tb, -1.3, &mut want).unwrap();
-                    gemm_into(0.7, &a, ta, &b, tb, -1.3, &mut got).unwrap();
+                    gemm_matrix(0.7, &a, ta, &b, tb, -1.3, &mut got).unwrap();
                     assert_close(&got, &want, 1e-12);
                 }
             }
@@ -848,76 +620,9 @@ mod tests {
             let mut want = Matrix::zeros(m, n);
             let mut got = Matrix::zeros(m, n);
             gemm_reference(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut want).unwrap();
-            gemm_into(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut got).unwrap();
+            gemm_matrix(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut got).unwrap();
             assert_eq!(got, want, "blocked kernel must keep k-order sums");
         }
-    }
-
-    #[test]
-    fn pooled_gemm_is_bit_identical_to_serial() {
-        // Above the flop threshold with several row blocks; every transpose
-        // combination and a non-trivial α/β.
-        let (m, n, k) = (300, 70, 60);
-        for ta in [Trans::No, Trans::Yes] {
-            for tb in [Trans::No, Trans::Yes] {
-                let a = match ta {
-                    Trans::No => dense(m, k, 21),
-                    Trans::Yes => dense(k, m, 21),
-                };
-                let b = match tb {
-                    Trans::No => dense(k, n, 22),
-                    Trans::Yes => dense(n, k, 22),
-                };
-                let c0 = dense(m, n, 23);
-                let mut serial = c0.clone();
-                gemm_into(0.9, &a, ta, &b, tb, -0.4, &mut serial).unwrap();
-                for threads in [2usize, 4] {
-                    let mut pooled = c0.clone();
-                    gemm_into_pool(0.9, &a, ta, &b, tb, -0.4, &mut pooled, &Pool::new(threads))
-                        .unwrap();
-                    assert_eq!(pooled, serial, "{ta:?}/{tb:?} with {threads} workers");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_gemm_small_problem_takes_the_serial_path() {
-        let a = dense(8, 8, 31);
-        let b = dense(8, 8, 32);
-        let mut serial = Matrix::zeros(8, 8);
-        gemm_into(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut serial).unwrap();
-        let mut pooled = Matrix::zeros(8, 8);
-        gemm_into_pool(
-            1.0,
-            &a,
-            Trans::No,
-            &b,
-            Trans::No,
-            0.0,
-            &mut pooled,
-            &Pool::new(4),
-        )
-        .unwrap();
-        assert_eq!(pooled, serial);
-    }
-
-    #[test]
-    fn pooled_gemm_rejects_shape_mismatches() {
-        let a = Matrix::zeros(300, 3);
-        let b = Matrix::zeros(4, 300);
-        let mut c = Matrix::zeros(300, 300);
-        assert!(gemm_into_pool(
-            1.0,
-            &a,
-            Trans::No,
-            &b,
-            Trans::No,
-            0.0,
-            &mut c,
-            &Pool::new(4)
-        )
-        .is_err());
     }
 
     #[test]
@@ -926,7 +631,7 @@ mod tests {
         let b = dense(4, 5, 5);
         let c0 = dense(6, 5, 6);
         let mut c = c0.clone();
-        gemm_into(2.0, &a, Trans::No, &b, Trans::No, 1.0, &mut c).unwrap();
+        gemm_matrix(2.0, &a, Trans::No, &b, Trans::No, 1.0, &mut c).unwrap();
         let prod = gemm(2.0, &a, Trans::No, &b, Trans::No).unwrap();
         assert_close(&c, &(&c0 + &prod), 1e-12);
     }
@@ -936,7 +641,7 @@ mod tests {
         let a = dense(3, 3, 7);
         let b = dense(3, 3, 8);
         let mut c = Matrix::filled(3, 3, f64::NAN);
-        gemm_into(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut c).unwrap();
+        gemm_matrix(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut c).unwrap();
         assert!(c.iter().all(|v| v.is_finite()), "β=0 must overwrite NaN C");
     }
 
@@ -956,31 +661,20 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_invariant() {
-        let mut ws = GemmWorkspace::new();
+        // Every multiply on this thread shares one packing workspace.
         let a = dense(40, 30, 13);
         let b = dense(30, 20, 14);
-        let first = {
-            let mut c = Matrix::zeros(40, 20);
-            gemm_into_ws(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut c, &mut ws).unwrap();
-            c
-        };
+        let first = gemm(1.0, &a, Trans::No, &b, Trans::No).unwrap();
         // A smaller multiply in between leaves stale data in the buffers.
-        let small_a = dense(3, 50, 15);
-        let small_b = dense(50, 3, 16);
-        let mut small_c = Matrix::zeros(3, 3);
-        gemm_into_ws(
+        gemm(
             1.0,
-            &small_a,
+            &dense(3, 50, 15),
             Trans::No,
-            &small_b,
+            &dense(50, 3, 16),
             Trans::No,
-            0.0,
-            &mut small_c,
-            &mut ws,
         )
         .unwrap();
-        let mut again = Matrix::zeros(40, 20);
-        gemm_into_ws(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut again, &mut ws).unwrap();
+        let again = gemm(1.0, &a, Trans::No, &b, Trans::No).unwrap();
         assert_eq!(first, again, "stale workspace contents leaked into C");
     }
 
@@ -990,7 +684,7 @@ mod tests {
         let b = Matrix::zeros(4, 2);
         assert!(gemm(1.0, &a, Trans::No, &b, Trans::No).is_err());
         let mut c = Matrix::zeros(5, 5);
-        assert!(gemm_into(1.0, &a, Trans::No, &b, Trans::Yes, 0.0, &mut c).is_err());
+        assert!(gemm_matrix(1.0, &a, Trans::No, &b, Trans::Yes, 0.0, &mut c).is_err());
     }
 
     #[test]
@@ -999,11 +693,11 @@ mod tests {
         let a = Matrix::zeros(3, 0);
         let b = Matrix::zeros(0, 2);
         let mut c = Matrix::filled(3, 2, 2.0);
-        gemm_into(1.0, &a, Trans::No, &b, Trans::No, 0.5, &mut c).unwrap();
+        gemm_matrix(1.0, &a, Trans::No, &b, Trans::No, 0.5, &mut c).unwrap();
         assert!(c.iter().all(|&v| v == 1.0));
         // m = 0 / n = 0: no-op, no panic.
         let mut empty = Matrix::zeros(0, 2);
-        gemm_into(
+        gemm_matrix(
             1.0,
             &Matrix::zeros(0, 4),
             Trans::No,

@@ -1,10 +1,12 @@
 //! # drcell-linalg — dense linear algebra substrate
 //!
-//! Self-contained dense linear algebra used throughout the DR-Cell
-//! reproduction: the [`Matrix`] type, BLAS-1 style vector helpers, and the
-//! decompositions needed by the compressive-sensing inference engine and the
-//! neural-network substrate (LU, Cholesky, Householder QR, Jacobi
-//! eigendecomposition and SVD).
+//! The dense linear algebra the DR-Cell reproduction runs: the [`Matrix`]
+//! type, BLAS-1 style vector helpers, the cache-blocked [`gemm`] that the
+//! neural-network layers and [`Matrix::matmul`] drive, the in-place SPD
+//! solve of the ALS sweeps ([`solve::solve_spd_in_place`]) and the
+//! backend-dispatched [`kernels`] of the inference and neural hot paths.
+//! The allocating [`decomp::Cholesky`] and [`gemm::gemm_reference`] stay as
+//! the oracles the fast paths are pinned against.
 //!
 //! The crate is deliberately small and dependency-free (besides `serde`
 //! derives): everything the paper's system needs, nothing more. All numerics
@@ -15,8 +17,8 @@
 //!
 //! # fn main() -> Result<(), drcell_linalg::LinalgError> {
 //! let a = Matrix::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]])?;
-//! let b = vec![1.0, 2.0];
-//! let x = drcell_linalg::solve::solve(&a, &b)?;
+//! let mut x = vec![1.0, 2.0];
+//! drcell_linalg::solve::solve_spd_in_place(&mut a.clone(), &mut x)?;
 //! let r = a.matvec(&x);
 //! assert!((r[0] - 1.0).abs() < 1e-12 && (r[1] - 2.0).abs() < 1e-12);
 //! # Ok(())

@@ -195,11 +195,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns entry `(r, c)` or `None` when out of bounds.
     pub fn get(&self, r: usize, c: usize) -> Option<f64> {
         if r < self.rows && c < self.cols {
@@ -405,31 +400,6 @@ impl Matrix {
         }
     }
 
-    /// Entry-wise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when the shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hadamard",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| a * b)
-                .collect(),
-        })
-    }
-
     /// `self + alpha * rhs`, the matrix AXPY.
     ///
     /// # Errors
@@ -460,19 +430,9 @@ impl Matrix {
         self.map(|v| v * alpha)
     }
 
-    /// Scales every entry by `alpha` in place.
-    pub fn scale_inplace(&mut self, alpha: f64) {
-        self.map_inplace(|v| v * alpha);
-    }
-
     /// Frobenius norm.
     pub fn fro_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Largest absolute entry (`max |a_ij|`); `0.0` for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }
 
     /// Sum of all entries.
@@ -810,10 +770,8 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_axpy() {
+    fn axpy_adds_scaled_rhs() {
         let a = m22();
-        let h = a.hadamard(&a).unwrap();
-        assert_eq!(h[(1, 1)], 16.0);
         let s = a.axpy(2.0, &a).unwrap();
         assert_eq!(s[(0, 0)], 3.0);
     }
@@ -871,7 +829,6 @@ mod tests {
     fn norms_and_reductions() {
         let m = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
         assert!((m.fro_norm() - 5.0).abs() < 1e-12);
-        assert_eq!(m.max_abs(), 4.0);
         assert_eq!(m.sum(), 7.0);
         assert_eq!(m.mean().unwrap(), 3.5);
         assert!(Matrix::default().mean().is_err());

@@ -1,53 +1,18 @@
-//! High-level one-shot solvers.
-//!
-//! Convenience wrappers over the decompositions in [`crate::decomp`] for the
-//! common "factor once, solve once" pattern.
+//! The in-place SPD solver at the core of the ALS sweeps.
 
-use crate::decomp::{Cholesky, Lu, Qr};
 use crate::{LinalgError, Matrix};
 
-/// Solves the square system `A·x = b` via LU with partial pivoting.
-///
-/// # Errors
-///
-/// Propagates factorisation errors ([`LinalgError::Singular`],
-/// [`LinalgError::ShapeMismatch`]).
-///
-/// ```
-/// use drcell_linalg::{solve, Matrix};
-///
-/// # fn main() -> Result<(), drcell_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, -1.0]])?;
-/// let x = solve::solve(&a, &[3.0, 1.0])?;
-/// assert!((x[0] - 2.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    Lu::new(a)?.solve(b)
-}
-
-/// Solves `A·x = b` for symmetric positive-definite `A` via Cholesky.
-///
-/// Roughly twice as fast as [`solve`] and the solver of choice for the ALS
-/// normal equations in the compressive-sensing engine.
-///
-/// # Errors
-///
-/// Propagates [`LinalgError::NotPositiveDefinite`] and shape errors.
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    Cholesky::new(a)?.solve(b)
-}
-
-/// Allocation-free [`solve_spd`]: factorises `a` in place (its lower
-/// triangle is overwritten with `L`; the strict upper triangle is left
-/// untouched) and overwrites `b` with the solution.
+/// Allocation-free Cholesky solve of `A·x = b` for symmetric
+/// positive-definite `A`: factorises `a` in place (its lower triangle is
+/// overwritten with `L`; the strict upper triangle is left untouched) and
+/// overwrites `b` with the solution.
 ///
 /// The arithmetic — elimination order, every intermediate product — is
-/// exactly [`Cholesky::new`] followed by [`Cholesky::solve`], so the
-/// solution is **bit-identical** to `solve_spd(&a, &b)`. This is the
-/// per-row kernel of the ALS sweeps, where the caller owns a reusable
-/// Gram/rhs scratch and must not allocate per row.
+/// exactly [`crate::decomp::Cholesky::new`] followed by
+/// [`crate::decomp::Cholesky::solve`], so the solution is **bit-identical**
+/// to the allocating factorisation. This is the per-row kernel of the ALS
+/// sweeps, where the caller owns a reusable Gram/rhs scratch and must not
+/// allocate per row.
 ///
 /// # Errors
 ///
@@ -108,63 +73,10 @@ pub fn solve_spd_in_place(a: &mut Matrix, b: &mut [f64]) -> Result<(), LinalgErr
     Ok(())
 }
 
-/// Solves the least-squares problem `min ‖A·x − b‖₂` via Householder QR.
-///
-/// # Errors
-///
-/// Propagates [`LinalgError::Singular`] for rank-deficient `A` and shape
-/// errors.
-pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    Qr::new(a)?.solve_least_squares(b)
-}
-
-/// Solves the ridge-regularised least squares `min ‖A·x − b‖² + λ‖x‖²`
-/// through the SPD normal equations `(AᵀA + λI)·x = Aᵀb`.
-///
-/// # Errors
-///
-/// * [`LinalgError::ShapeMismatch`] if `b.len() != a.rows()`.
-/// * Propagates Cholesky failures when `λ` is zero/negative and `AᵀA` is
-///   singular.
-pub fn ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, LinalgError> {
-    if b.len() != a.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "ridge",
-            lhs: a.shape(),
-            rhs: (b.len(), 1),
-        });
-    }
-    let mut gram = a.gram();
-    for i in 0..gram.rows() {
-        gram[(i, i)] += lambda;
-    }
-    let atb = a.vecmat(b);
-    solve_spd(&gram, &atb)
-}
-
-/// Computes the inverse of a square matrix via LU.
-///
-/// # Errors
-///
-/// Propagates [`LinalgError::Singular`] and shape errors.
-pub fn inverse(a: &Matrix) -> Result<Matrix, LinalgError> {
-    Lu::new(a)?.inverse()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn solve_and_solve_spd_agree() {
-        let a = Matrix::from_rows(&[vec![5.0, 2.0], vec![2.0, 3.0]]).unwrap();
-        let b = [1.0, 4.0];
-        let x1 = solve(&a, &b).unwrap();
-        let x2 = solve_spd(&a, &b).unwrap();
-        for (p, q) in x1.iter().zip(&x2) {
-            assert!((p - q).abs() < 1e-10);
-        }
-    }
+    use crate::decomp::Cholesky;
 
     #[test]
     fn solve_spd_in_place_is_bit_identical_to_solve_spd() {
@@ -185,7 +97,7 @@ mod tests {
                 a[(i, i)] += n as f64 * 0.5;
             }
             let b: Vec<f64> = (0..n).map(|_| next()).collect();
-            let want = solve_spd(&a, &b).unwrap();
+            let want = Cholesky::new(&a).unwrap().solve(&b).unwrap();
             let mut a_work = a.clone();
             let mut x = b.clone();
             solve_spd_in_place(&mut a_work, &mut x).unwrap();
@@ -204,53 +116,5 @@ mod tests {
             solve_spd_in_place(&mut indef, &mut [1.0, 1.0]),
             Err(LinalgError::NotPositiveDefinite { column: 1 })
         ));
-    }
-
-    #[test]
-    fn lstsq_fits_line() {
-        // y = 2 + 3 t sampled at t = 0..4 with no noise.
-        let t: Vec<f64> = (0..5).map(|i| i as f64).collect();
-        let a = Matrix::from_fn(5, 2, |r, c| if c == 0 { 1.0 } else { t[r] });
-        let y: Vec<f64> = t.iter().map(|&ti| 2.0 + 3.0 * ti).collect();
-        let coef = lstsq(&a, &y).unwrap();
-        assert!((coef[0] - 2.0).abs() < 1e-10);
-        assert!((coef[1] - 3.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn ridge_shrinks_towards_zero() {
-        let a = Matrix::identity(2);
-        let b = [2.0, 2.0];
-        let x0 = ridge(&a, &b, 0.0).unwrap();
-        let x1 = ridge(&a, &b, 1.0).unwrap();
-        assert!((x0[0] - 2.0).abs() < 1e-10);
-        assert!(
-            (x1[0] - 1.0).abs() < 1e-10,
-            "λ=1 on identity halves the solution"
-        );
-    }
-
-    #[test]
-    fn ridge_handles_rank_deficiency() {
-        // Rank-1 design matrix: plain least squares would fail, ridge succeeds.
-        let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]).unwrap();
-        let b = [1.0, 2.0, 3.0];
-        assert!(lstsq(&a, &b).is_err());
-        let x = ridge(&a, &b, 1e-6).unwrap();
-        // Symmetric problem: both coefficients equal.
-        assert!((x[0] - x[1]).abs() < 1e-8);
-    }
-
-    #[test]
-    fn ridge_shape_mismatch() {
-        let a = Matrix::identity(2);
-        assert!(ridge(&a, &[1.0], 0.1).is_err());
-    }
-
-    #[test]
-    fn inverse_of_inverse_is_original() {
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]).unwrap();
-        let inv_inv = inverse(&inverse(&a).unwrap()).unwrap();
-        assert!(inv_inv.approx_eq(&a, 1e-9));
     }
 }

@@ -34,16 +34,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// L1 norm (sum of absolute values).
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|v| v.abs()).sum()
-}
-
-/// Infinity norm (largest absolute value); `0.0` for an empty slice.
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-}
-
 /// Scales a slice in place.
 pub fn scale(alpha: f64, a: &mut [f64]) {
     for v in a {
@@ -100,12 +90,6 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the minimum value; ties broken toward the lowest index.
-/// Returns `None` for an empty slice or when every value is NaN.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    argmax(&a.iter().map(|v| -v).collect::<Vec<_>>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,9 +110,6 @@ mod tests {
     fn norms_on_pythagorean_triple() {
         let v = [3.0, -4.0];
         assert!((norm2(&v) - 5.0).abs() < 1e-12);
-        assert_eq!(norm1(&v), 7.0);
-        assert_eq!(norm_inf(&v), 4.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]
@@ -151,7 +132,6 @@ mod tests {
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[f64::NAN]), None);
         assert_eq!(argmax(&[f64::NAN, 2.0, 2.0]), Some(1));
-        assert_eq!(argmin(&[3.0, -1.0, 4.0]), Some(1));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! scalar-vs-scalar degenerate case and says so loudly.
 
 use drcell_linalg::backend::{self, BackendKind};
-use drcell_linalg::gemm::{gemm_slice_ws_with_kind, GemmWorkspace, Trans};
+use drcell_linalg::gemm::{gemm_slice_with_kind, Trans};
 use drcell_linalg::kernels;
 use proptest::prelude::*;
 
@@ -105,9 +105,8 @@ fn gemm_both_backends(
     let b = fill(br * bc, seed + 1, specials);
     let c0 = fill(m * n, seed + 2, specials);
 
-    let mut ws = GemmWorkspace::default();
     let mut c_scalar = c0.clone();
-    gemm_slice_ws_with_kind(
+    gemm_slice_with_kind(
         BackendKind::Scalar,
         alpha,
         &a,
@@ -120,11 +119,10 @@ fn gemm_both_backends(
         tb,
         beta,
         &mut c_scalar,
-        &mut ws,
     )
     .expect("scalar gemm shapes agree");
     let mut c_simd = c0;
-    gemm_slice_ws_with_kind(
+    gemm_slice_with_kind(
         simd,
         alpha,
         &a,
@@ -137,7 +135,6 @@ fn gemm_both_backends(
         tb,
         beta,
         &mut c_simd,
-        &mut ws,
     )
     .expect("simd gemm shapes agree");
     assert_bits_match(&c_scalar, &c_simd, "gemm");
@@ -360,8 +357,7 @@ fn gemm_nan_inf_placement_agrees() {
 
     let run = |kind: BackendKind| {
         let mut c = c0.clone();
-        let mut ws = GemmWorkspace::default();
-        gemm_slice_ws_with_kind(
+        gemm_slice_with_kind(
             kind,
             1.0,
             &a,
@@ -374,7 +370,6 @@ fn gemm_nan_inf_placement_agrees() {
             Trans::No,
             0.0,
             &mut c,
-            &mut ws,
         )
         .expect("shapes agree");
         c
