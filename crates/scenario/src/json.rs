@@ -75,15 +75,23 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one short
+/// line (`[[[[…`) overflow the stack and abort the process; specs and
+/// wire frames nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed input or trailing garbage.
+/// Returns [`Error`] on malformed input, trailing garbage, or nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse_json(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -100,6 +108,8 @@ pub fn parse_json(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -131,8 +141,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.map(),
-            Some(b'[') => self.seq(),
+            Some(b'{') => self.nested(Self::map),
+            Some(b'[') => self.nested(Self::seq),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -144,6 +154,20 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "JSON nests deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, Error> {
@@ -378,6 +402,15 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("12 34").is_err());
         assert!(parse_json("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl Client {
     pub fn jobs(&mut self) -> Result<JobsSnapshot, ServeError> {
         self.send(&Request::Jobs)?;
         match self.read_reply()? {
-            Frame::JobTable { now_ms, jobs } => Ok(JobsSnapshot { now_ms, jobs }),
+            Frame::JobTable(snapshot) => Ok(snapshot),
             other => Err(ServeError::unexpected("jobs", &other)),
         }
     }

@@ -41,6 +41,8 @@ pub struct Job {
     deadline_ms: u64,
     /// Scenarios finished so far (successes and failures).
     completed: AtomicUsize,
+    /// The failed subset of `completed`.
+    failed: AtomicUsize,
     state: AtomicU8,
     cancel: AtomicBool,
     /// Epoch ms when a worker started it; 0 = not yet.
@@ -54,28 +56,6 @@ pub struct Job {
     /// for ordinary lifecycles and plain client cancels).
     reason: Mutex<Option<String>>,
     journal: Option<Arc<Journal>>,
-}
-
-fn state_to_u8(s: JobState) -> u8 {
-    match s {
-        JobState::Queued => 0,
-        JobState::Running => 1,
-        JobState::Done => 2,
-        JobState::Cancelled => 3,
-        JobState::Failed => 4,
-        JobState::DeadlineExceeded => 5,
-    }
-}
-
-fn state_from_u8(v: u8) -> JobState {
-    match v {
-        0 => JobState::Queued,
-        1 => JobState::Running,
-        2 => JobState::Done,
-        3 => JobState::Cancelled,
-        5 => JobState::DeadlineExceeded,
-        _ => JobState::Failed,
-    }
 }
 
 impl Job {
@@ -92,7 +72,8 @@ impl Job {
             queued_ms,
             deadline_ms,
             completed: AtomicUsize::new(0),
-            state: AtomicU8::new(state_to_u8(JobState::Queued)),
+            failed: AtomicUsize::new(0),
+            state: AtomicU8::new(JobState::Queued as u8),
             cancel: AtomicBool::new(false),
             started_ms: AtomicU64::new(0),
             progress_ms: AtomicU64::new(0),
@@ -104,7 +85,7 @@ impl Job {
 
     /// Current lifecycle state.
     pub fn state(&self) -> JobState {
-        state_from_u8(self.state.load(Ordering::Acquire))
+        JobState::from_index(self.state.load(Ordering::Acquire))
     }
 
     /// Moves the job to `state`. Terminal states are final: a job that is
@@ -113,34 +94,12 @@ impl Job {
     /// flip the outcome back). Effective transitions are timestamped and
     /// journalled.
     pub fn set_state(&self, state: JobState) {
-        let moved = self
-            .state
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                if state_from_u8(cur).is_terminal() {
-                    None
-                } else {
-                    Some(state_to_u8(state))
-                }
-            })
-            .is_ok();
-        if !moved {
+        let at_ms = now_ms();
+        if !self.transition(state, at_ms) {
             return;
         }
-        let at_ms = now_ms();
-        // First writer wins on each timestamp: a state can only be entered
-        // once (forward-only machine), so the CAS is belt and braces.
-        if state == JobState::Running {
-            let _ = self
-                .started_ms
-                .compare_exchange(0, at_ms, Ordering::AcqRel, Ordering::Acquire);
-        }
-        if state.is_terminal() {
-            let _ =
-                self.finished_ms
-                    .compare_exchange(0, at_ms, Ordering::AcqRel, Ordering::Acquire);
-        }
         if let Some(journal) = &self.journal {
-            let _ = journal.append(&Record::State {
+            let record = Record::State {
                 job: self.id,
                 state: state.as_str().to_owned(),
                 completed: self.completed.load(Ordering::Acquire),
@@ -150,8 +109,36 @@ impl Job {
                 } else {
                     None
                 },
-            });
+            };
+            let _ = journal.append(&record.to_line());
         }
+    }
+
+    /// The forward-only state machine behind [`Job::set_state`] and
+    /// replay: moves to `state` unless the job is already terminal, and
+    /// stamps the entry into `Running` / a terminal state with `at_ms`.
+    /// Returns whether the job moved.
+    fn transition(&self, state: JobState, at_ms: u64) -> bool {
+        let moved = self
+            .state
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
+                (!JobState::from_index(cur).is_terminal()).then_some(state as u8)
+            })
+            .is_ok();
+        if !moved {
+            return false;
+        }
+        let stamp = if state == JobState::Running {
+            &self.started_ms
+        } else if state.is_terminal() {
+            &self.finished_ms
+        } else {
+            return true;
+        };
+        // First writer wins on each timestamp: a state can only be entered
+        // once (forward-only machine), so the CAS is belt and braces.
+        let _ = stamp.compare_exchange(0, at_ms, Ordering::AcqRel, Ordering::Acquire);
+        true
     }
 
     /// Requests cancellation; the worker honours it at the next cycle
@@ -219,14 +206,29 @@ impl Job {
         let completed = self.completed.fetch_add(1, Ordering::AcqRel) + 1;
         self.touch_progress();
         if let Some(journal) = &self.journal {
-            let _ = journal.append(&Record::State {
+            let record = Record::State {
                 job: self.id,
                 state: self.state().as_str().to_owned(),
                 completed,
                 at_ms: now_ms(),
                 reason: None,
-            });
+            };
+            let _ = journal.append(&record.to_line());
         }
+    }
+
+    /// [`Job::mark_scenario_finished`] for a scenario that failed.
+    pub(crate) fn mark_scenario_failed(&self) {
+        self.failed.fetch_add(1, Ordering::AcqRel);
+        self.mark_scenario_finished();
+    }
+
+    /// `(ok, failed)` scenario counts so far — what a `done` frame
+    /// reports.
+    pub(crate) fn outcome(&self) -> (usize, usize) {
+        let failed = self.failed.load(Ordering::Acquire);
+        let completed = self.completed.load(Ordering::Acquire);
+        (completed.saturating_sub(failed), failed)
     }
 
     /// Snapshot row for the `jobs` listing.
@@ -249,32 +251,11 @@ impl Job {
     /// as [`Job::set_state`], but without journalling (the record already
     /// *is* the journal) and with the recorded timestamp.
     fn apply_recovered(&self, state: JobState, completed: usize, at_ms: u64, reason: Option<&str>) {
-        let moved = self
-            .state
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                if state_from_u8(cur).is_terminal() {
-                    None
-                } else {
-                    Some(state_to_u8(state))
-                }
-            })
-            .is_ok();
-        if !moved {
-            return;
-        }
-        self.completed.store(completed, Ordering::Release);
-        if let Some(r) = reason {
-            self.set_reason(r);
-        }
-        if state == JobState::Running {
-            let _ = self
-                .started_ms
-                .compare_exchange(0, at_ms, Ordering::AcqRel, Ordering::Acquire);
-        }
-        if state.is_terminal() {
-            let _ =
-                self.finished_ms
-                    .compare_exchange(0, at_ms, Ordering::AcqRel, Ordering::Acquire);
+        if self.transition(state, at_ms) {
+            self.completed.store(completed, Ordering::Release);
+            if let Some(r) = reason {
+                self.set_reason(r);
+            }
         }
     }
 }
@@ -307,7 +288,7 @@ impl JobTable {
     /// Propagates journal I/O failures and replay corruption (including
     /// non-dense job ids, which this table never writes).
     pub fn with_journal(journal: Arc<Journal>) -> std::io::Result<JobTable> {
-        let records = Journal::replay(journal.path())?;
+        let records = Journal::replay(journal.path(), Record::parse)?;
         let mut jobs: Vec<Arc<Job>> = Vec::new();
         for record in records {
             match record {
@@ -401,7 +382,7 @@ impl JobTable {
                 });
             }
         }
-        journal.compact(&snapshot)?;
+        journal.compact(&snapshot.iter().map(Record::to_line).collect::<Vec<_>>())?;
         Ok(JobTable {
             jobs: Mutex::new(jobs),
             journal: Some(journal),
@@ -425,12 +406,13 @@ impl JobTable {
         // Journalled under the table lock so create records hit the file
         // in id order — the density invariant `with_journal` replays by.
         if let Some(journal) = &self.journal {
-            let _ = journal.append(&Record::Create {
+            let record = Record::Create {
                 job: id,
                 scenarios,
                 at_ms: queued_ms,
                 deadline_ms,
-            });
+            };
+            let _ = journal.append(&record.to_line());
         }
         jobs.push(Arc::clone(&job));
         job

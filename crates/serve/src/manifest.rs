@@ -5,8 +5,8 @@
 //! Layout under the manifest directory:
 //!
 //! ```text
-//! manifest.jsonl   append-only log (drcell-store LineJournal semantics:
-//!                  per-record flush, torn-tail tolerant, compacted on open)
+//! manifest.jsonl   append-only drcell-store Journal: per-record flush,
+//!                  torn-tail tolerant replay, compacted on resume
 //! rows/            content-addressed shard row streams (ResultCache disk
 //!                  tier: write-to-temp + atomic rename, one file per key)
 //! ```
@@ -21,9 +21,13 @@
 //! sides are content-addressed, so a resumed merge replays the exact
 //! bytes the original daemons streamed.
 //!
-//! Resume validates the sweep key before trusting anything: a manifest
-//! from a different sweep spec fails loudly instead of splicing foreign
-//! rows into the output.
+//! Resume replays the log through [`Journal::replay`] — the one home of
+//! the torn-tail rule: a torn final record only re-runs its shard, while
+//! a garbled earlier one fails loudly — with a parser that reads the
+//! header first and checks every shard record against its plan. It then
+//! validates the sweep key before trusting anything: a manifest from a
+//! different sweep spec, or with a missing or garbled header, fails
+//! loudly instead of splicing foreign rows into the output.
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -31,7 +35,7 @@ use std::path::{Path, PathBuf};
 use drcell_scenario::json::{parse_json, to_json};
 use drcell_scenario::SweepSpec;
 use drcell_store::sha256::{hex, Sha256};
-use drcell_store::{scenario_key, LineJournal, ResultCache};
+use drcell_store::{scenario_key, Journal, ResultCache};
 use serde::Value;
 
 use crate::client::JobOutput;
@@ -72,7 +76,7 @@ fn shard_key(sweep: &str, range: &Range<usize>) -> String {
 /// cache locks).
 #[derive(Debug)]
 pub struct SweepManifest {
-    journal: LineJournal,
+    journal: Journal,
     rows: ResultCache,
     key: String,
     ranges: Vec<Range<usize>>,
@@ -92,7 +96,7 @@ impl SweepManifest {
         std::fs::create_dir_all(dir)?;
         let log_path = Self::log_path(dir);
         let _ = std::fs::remove_file(&log_path);
-        let journal = LineJournal::open(&log_path)?;
+        let journal = Journal::open(&log_path)?;
         let key = sweep_key(spec);
         journal.append(&header_line(&key, spec.matrix_len(), ranges))?;
         Ok(SweepManifest {
@@ -128,15 +132,24 @@ impl SweepManifest {
                 format!("no sweep manifest at {}", log_path.display()),
             ));
         }
-        let lines = LineJournal::lines(&log_path)?;
         let corrupt = |what: &str| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("{what} in sweep manifest {}", log_path.display()),
             )
         };
-        let header = lines.first().ok_or_else(|| corrupt("missing header"))?;
-        let (key, total, ranges) = parse_header(header).ok_or_else(|| corrupt("garbled header"))?;
+        // The first record is the header; every later one is a shard
+        // checkpoint, validated against the header's plan. The header
+        // itself replays as `None`.
+        let mut header: Option<(String, usize, Vec<Range<usize>>)> = None;
+        let shards = Journal::replay(&log_path, |line| {
+            if let Some((_, _, ranges)) = &header {
+                return parse_shard(line, ranges).map(Some);
+            }
+            header = Some(parse_header(line)?);
+            Some(None)
+        })?;
+        let (key, total, ranges) = header.ok_or_else(|| corrupt("missing or garbled header"))?;
         let expected = sweep_key(spec);
         if key != expected {
             return Err(std::io::Error::new(
@@ -153,29 +166,19 @@ impl SweepManifest {
         }
         let rows = Self::row_store(dir)?;
         let mut completed: Vec<Option<CompletedShard>> = vec![None; ranges.len()];
-        for (i, line) in lines.iter().enumerate().skip(1) {
-            match parse_shard(line, &ranges) {
-                Some((shard, record)) => {
-                    // Trust the record only if its rows actually committed
-                    // (the crash window between cache insert and append is
-                    // covered by re-running the shard).
-                    let key = shard_key(&key, &ranges[shard]);
-                    if let Some(stream) = rows.lookup(&key) {
-                        let mut output = record.output;
-                        output.rows = stream.as_ref().clone();
-                        completed[shard] = Some(CompletedShard { output, ..record });
-                    }
-                }
-                None if i + 1 == lines.len() => {
-                    // Torn final line from a crash mid-append: the shard
-                    // re-runs.
-                }
-                None => return Err(corrupt(&format!("corrupt record at line {}", i + 1))),
+        for (shard, record) in shards.into_iter().flatten() {
+            // Trust the record only if its rows actually committed (the
+            // crash window between cache insert and append is covered by
+            // re-running the shard).
+            if let Some(stream) = rows.lookup(&shard_key(&key, &ranges[shard])) {
+                let mut output = record.output;
+                output.rows = stream.as_ref().clone();
+                completed[shard] = Some(CompletedShard { output, ..record });
             }
         }
         // Re-open for append and compact to the surviving records, so log
         // size stays proportional to the shard plan across resumes.
-        let journal = LineJournal::open(&log_path)?;
+        let journal = Journal::open(&log_path)?;
         let mut compacted = vec![header_line(&key, total, &ranges)];
         for (shard, done) in completed.iter().enumerate() {
             if let Some(c) = done {

@@ -191,55 +191,65 @@ impl Request {
 
     /// Serialises the request as its wire line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let entries = match self {
+        let cmd = |name: &str| ("cmd", text(name));
+        let fields = match self {
             Request::Run {
                 target,
                 deadline_ms,
             } => {
-                let mut entries = vec![("cmd".to_owned(), Value::Str("run".to_owned()))];
-                match target {
-                    RunTarget::Name(name) => {
-                        entries.push(("name".to_owned(), Value::Str(name.clone())));
-                    }
-                    RunTarget::Spec(spec) => {
-                        entries.push(("spec".to_owned(), spec.to_value()));
-                    }
-                }
-                if let Some(d) = deadline_ms {
-                    entries.push(("deadline_ms".to_owned(), Value::UInt(*d)));
-                }
-                entries
+                let (name, spec) = match target {
+                    RunTarget::Name(name) => (text(name), None),
+                    RunTarget::Spec(spec) => (None, Some(spec.to_value())),
+                };
+                vec![
+                    cmd("run"),
+                    ("name", name),
+                    ("spec", spec),
+                    ("deadline_ms", deadline_ms.map(Value::UInt)),
+                ]
             }
             Request::Sweep {
                 spec,
                 range,
                 deadline_ms,
-            } => {
-                let mut entries = vec![
-                    ("cmd".to_owned(), Value::Str("sweep".to_owned())),
-                    ("spec".to_owned(), spec.to_value()),
-                ];
-                if let Some((start, end)) = range {
-                    entries.push(("start".to_owned(), Value::UInt(*start as u64)));
-                    entries.push(("end".to_owned(), Value::UInt(*end as u64)));
-                }
-                if let Some(d) = deadline_ms {
-                    entries.push(("deadline_ms".to_owned(), Value::UInt(*d)));
-                }
-                entries
-            }
-            Request::List => vec![("cmd".to_owned(), Value::Str("list".to_owned()))],
-            Request::Jobs => vec![("cmd".to_owned(), Value::Str("jobs".to_owned()))],
-            Request::Stats => vec![("cmd".to_owned(), Value::Str("stats".to_owned()))],
-            Request::Cancel { job } => vec![
-                ("cmd".to_owned(), Value::Str("cancel".to_owned())),
-                ("job".to_owned(), Value::UInt(*job)),
+            } => vec![
+                cmd("sweep"),
+                ("spec", Some(spec.to_value())),
+                ("start", range.and_then(|(start, _)| num(start))),
+                ("end", range.and_then(|(_, end)| num(end))),
+                ("deadline_ms", deadline_ms.map(Value::UInt)),
             ],
-            Request::Shutdown => vec![("cmd".to_owned(), Value::Str("shutdown".to_owned()))],
-            Request::Ping => vec![("cmd".to_owned(), Value::Str("ping".to_owned()))],
+            Request::List => vec![cmd("list")],
+            Request::Jobs => vec![cmd("jobs")],
+            Request::Stats => vec![cmd("stats")],
+            Request::Cancel { job } => vec![cmd("cancel"), ("job", num(*job))],
+            Request::Shutdown => vec![cmd("shutdown")],
+            Request::Ping => vec![cmd("ping")],
         };
-        to_json(&Value::Map(entries))
+        to_json(&object(fields))
     }
+}
+
+/// `Some` JSON number — the value of a required numeric field (every
+/// `u64` and `usize` field converts; `usize` is at most 64 bits wide).
+fn num(n: impl TryInto<u64>) -> Option<Value> {
+    n.try_into().ok().map(Value::UInt)
+}
+
+/// `Some` JSON string — the value of a required string field.
+fn text(s: &str) -> Option<Value> {
+    Some(Value::Str(s.to_owned()))
+}
+
+/// A JSON object with `fields` in order, `None` values omitted — the one
+/// shape every request, control frame and `jobs` entry is written in.
+fn object(fields: Vec<(&str, Option<Value>)>) -> Value {
+    Value::Map(
+        fields
+            .into_iter()
+            .filter_map(|(key, value)| Some((key.to_owned(), value?)))
+            .collect(),
+    )
 }
 
 /// Lifecycle states of a job in the server's table.
@@ -263,29 +273,36 @@ pub enum JobState {
 }
 
 impl JobState {
+    /// Every state with its wire name, in declaration order, so a state's
+    /// discriminant is its index — the one table behind
+    /// [`JobState::as_str`], [`JobState::from_str_wire`] and the job
+    /// table's one-byte atomic encoding.
+    const TABLE: [(JobState, &'static str); 6] = [
+        (JobState::Queued, "queued"),
+        (JobState::Running, "running"),
+        (JobState::Done, "done"),
+        (JobState::Cancelled, "cancelled"),
+        (JobState::Failed, "failed"),
+        (JobState::DeadlineExceeded, "deadline_exceeded"),
+    ];
+
     /// Wire name of the state.
     pub fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Cancelled => "cancelled",
-            JobState::Failed => "failed",
-            JobState::DeadlineExceeded => "deadline_exceeded",
-        }
+        Self::TABLE[self as usize].1
     }
 
     /// Parses a wire name.
     pub fn from_str_wire(s: &str) -> Option<JobState> {
-        Some(match s {
-            "queued" => JobState::Queued,
-            "running" => JobState::Running,
-            "done" => JobState::Done,
-            "cancelled" => JobState::Cancelled,
-            "failed" => JobState::Failed,
-            "deadline_exceeded" => JobState::DeadlineExceeded,
-            _ => return None,
-        })
+        Self::TABLE
+            .iter()
+            .find(|(_, name)| *name == s)
+            .map(|&(state, _)| state)
+    }
+
+    /// The state whose discriminant is `index` — the inverse of
+    /// `state as u8`.
+    pub(crate) fn from_index(index: u8) -> JobState {
+        Self::TABLE[usize::from(index)].0
     }
 
     /// `true` once the job can no longer make progress.
@@ -326,7 +343,8 @@ pub struct JobInfo {
 }
 
 /// A `jobs` snapshot together with the server clock it was taken at —
-/// what [`crate::Client::jobs`] returns.
+/// the payload of [`Frame::JobTable`] and what [`crate::Client::jobs`]
+/// returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobsSnapshot {
     /// The server's wall clock (epoch ms) at snapshot time. Compute live
@@ -358,7 +376,8 @@ pub struct ServerStats {
     pub inflight_slots: usize,
 }
 
-/// One server response frame, as parsed by the client.
+/// One server response frame: encoded by the server with
+/// [`Frame::to_line`], decoded by the client with [`Frame::parse`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// A raw result row — exactly one line of the CLI's `--jsonl` output.
@@ -432,15 +451,8 @@ pub enum Frame {
         /// Registry scenario names, in presentation order.
         names: Vec<String>,
     },
-    /// Reply to `jobs`.
-    JobTable {
-        /// The *server's* wall clock (epoch ms) at snapshot time. Live
-        /// durations (waiting/running) must be computed against this, not
-        /// the client's clock — the two machines may disagree.
-        now_ms: u64,
-        /// Snapshot rows, in job-id order.
-        jobs: Vec<JobInfo>,
-    },
+    /// Reply to `jobs`: the table and the server clock it was taken at.
+    JobTable(JobsSnapshot),
     /// Reply to `cancel`: the flag was set (or the job was already
     /// terminal).
     CancelAck {
@@ -476,54 +488,46 @@ impl Frame {
         // mistyped count from a version-skewed server must surface as a
         // protocol error, not silently parse as 0 (which would let a
         // `done` frame without `failed` masquerade as a clean success).
-        let job = || {
-            v.get("job")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ServeError::Protocol(format!("{event} frame has no job id")))
-        };
+        let protocol = |what: String| ServeError::Protocol(format!("{event} frame {what}"));
         let count = |field: &str| {
-            v.get(field).and_then(Value::as_u64).ok_or_else(|| {
-                ServeError::Protocol(format!("{event} frame has no numeric `{field}`"))
-            })
+            v.get(field)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| protocol(format!("has no numeric `{field}`")))
+        };
+        let string = |field: &str| v.get(field).and_then(Value::as_str).map(str::to_owned);
+        let required =
+            |field: &str| string(field).ok_or_else(|| protocol(format!("has no `{field}`")));
+        let list = |field: &str| {
+            v.get(field)
+                .and_then(Value::as_seq)
+                .ok_or_else(|| protocol(format!("has no `{field}` list")))
         };
         match event {
             "accepted" => Ok(Frame::Accepted {
-                job: job()?,
+                job: count("job")?,
                 scenarios: count("scenarios")? as usize,
             }),
             "scenario" => Ok(Frame::Scenario {
-                job: job()?,
+                job: count("job")?,
                 index: count("index")? as usize,
-                name: v
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ServeError::Protocol("scenario frame has no `name`".to_owned()))?
-                    .to_owned(),
-                error: v.get("error").and_then(Value::as_str).map(str::to_owned),
+                name: required("name")?,
+                error: string("error"),
             }),
             "done" => Ok(Frame::Done {
-                job: job()?,
+                job: count("job")?,
                 ok: count("ok")? as usize,
                 failed: count("failed")? as usize,
             }),
             "cancelled" => Ok(Frame::Cancelled {
-                job: job()?,
-                reason: v.get("reason").and_then(Value::as_str).map(str::to_owned),
+                job: count("job")?,
+                reason: string("reason"),
             }),
-            "deadline_exceeded" => Ok(Frame::DeadlineExceeded { job: job()? }),
+            "deadline_exceeded" => Ok(Frame::DeadlineExceeded { job: count("job")? }),
             "error" => Ok(Frame::Error {
-                message: v
-                    .get("message")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_owned(),
+                message: string("message").unwrap_or_default(),
             }),
             "busy" => Ok(Frame::Busy {
-                reason: v
-                    .get("reason")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ServeError::Protocol("busy frame has no `reason`".to_owned()))?
-                    .to_owned(),
+                reason: required("reason")?,
                 depth: count("depth")? as usize,
                 limit: count("limit")? as usize,
                 retry_after_ms: count("retry_after_ms")?,
@@ -538,63 +542,25 @@ impl Frame {
                 inflight_slots: count("inflight_slots")? as usize,
             })),
             "scenarios" => Ok(Frame::ScenarioNames {
-                names: v
-                    .get("names")
-                    .and_then(Value::as_seq)
-                    .map(|seq| {
-                        seq.iter()
-                            .filter_map(Value::as_str)
-                            .map(str::to_owned)
-                            .collect()
-                    })
-                    .unwrap_or_default(),
+                names: list("names")?
+                    .iter()
+                    .map(|n| n.as_str().map(str::to_owned))
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| protocol("has a non-string name".to_owned()))?,
             }),
-            "jobs" => {
-                let mut jobs = Vec::new();
-                for jv in v.get("jobs").and_then(Value::as_seq).unwrap_or_default() {
-                    let entry = |field: &str| {
-                        jv.get(field).and_then(Value::as_u64).ok_or_else(|| {
-                            ServeError::Protocol(format!(
-                                "jobs frame entry has no numeric `{field}`"
-                            ))
-                        })
-                    };
-                    jobs.push(JobInfo {
-                        job: entry("job")?,
-                        state: jv
-                            .get("state")
-                            .and_then(Value::as_str)
-                            .and_then(JobState::from_str_wire)
-                            .ok_or_else(|| {
-                                ServeError::Protocol("jobs frame with bad state".to_owned())
-                            })?,
-                        scenarios: entry("scenarios")? as usize,
-                        completed: entry("completed")? as usize,
-                        queued_ms: entry("queued_ms")?,
-                        // `started`/`finished`/`deadline`/`reason` are
-                        // legitimately absent on a job that has not reached
-                        // them — optional, unlike the structural counts
-                        // above.
-                        started_ms: jv.get("started_ms").and_then(Value::as_u64),
-                        finished_ms: jv.get("finished_ms").and_then(Value::as_u64),
-                        deadline_ms: jv.get("deadline_ms").and_then(Value::as_u64),
-                        reason: jv.get("reason").and_then(Value::as_str).map(str::to_owned),
-                    });
-                }
-                Ok(Frame::JobTable {
-                    now_ms: count("now_ms")?,
-                    jobs,
-                })
-            }
+            "jobs" => Ok(Frame::JobTable(JobsSnapshot {
+                now_ms: count("now_ms")?,
+                jobs: list("jobs")?
+                    .iter()
+                    .map(parse_job_info)
+                    .collect::<Result<_, _>>()?,
+            })),
             "cancel" => Ok(Frame::CancelAck {
-                job: job()?,
-                state: v
-                    .get("state")
-                    .and_then(Value::as_str)
+                job: count("job")?,
+                state: string("state")
+                    .as_deref()
                     .and_then(JobState::from_str_wire)
-                    .ok_or_else(|| {
-                        ServeError::Protocol("cancel frame with bad state".to_owned())
-                    })?,
+                    .ok_or_else(|| protocol("has a bad `state`".to_owned()))?,
             }),
             "shutdown" => Ok(Frame::ShutdownAck),
             "pong" => Ok(Frame::Pong {
@@ -602,6 +568,106 @@ impl Frame {
             }),
             other => Err(ServeError::Protocol(format!("unknown event `{other}`"))),
         }
+    }
+
+    /// Serialises the frame as its wire line (no trailing newline): a
+    /// [`Frame::Row`] verbatim, a control frame as an object whose first
+    /// key is `event`, with `None` fields omitted.
+    pub fn to_line(&self) -> String {
+        let (event, fields) = match self {
+            Frame::Row(row) => return row.clone(),
+            Frame::Accepted { job, scenarios } => (
+                "accepted",
+                vec![("job", num(*job)), ("scenarios", num(*scenarios))],
+            ),
+            Frame::Scenario {
+                job,
+                index,
+                name,
+                error,
+            } => (
+                "scenario",
+                vec![
+                    ("job", num(*job)),
+                    ("index", num(*index)),
+                    ("name", text(name)),
+                    ("error", error.as_deref().and_then(text)),
+                ],
+            ),
+            Frame::Done { job, ok, failed } => (
+                "done",
+                vec![
+                    ("job", num(*job)),
+                    ("ok", num(*ok)),
+                    ("failed", num(*failed)),
+                ],
+            ),
+            Frame::Cancelled { job, reason } => (
+                "cancelled",
+                vec![
+                    ("job", num(*job)),
+                    ("reason", reason.as_deref().and_then(text)),
+                ],
+            ),
+            Frame::DeadlineExceeded { job } => ("deadline_exceeded", vec![("job", num(*job))]),
+            Frame::Error { message } => ("error", vec![("message", text(message))]),
+            Frame::Busy {
+                reason,
+                depth,
+                limit,
+                retry_after_ms,
+            } => (
+                "busy",
+                vec![
+                    ("reason", text(reason)),
+                    ("depth", num(*depth)),
+                    ("limit", num(*limit)),
+                    ("retry_after_ms", num(*retry_after_ms)),
+                ],
+            ),
+            Frame::Stats(s) => (
+                "stats",
+                vec![
+                    ("mem_hits", num(s.mem_hits)),
+                    ("disk_hits", num(s.disk_hits)),
+                    ("misses", num(s.misses)),
+                    ("entries", num(s.entries)),
+                    ("bytes", num(s.bytes)),
+                    ("queue_depth", num(s.queue_depth)),
+                    ("inflight_slots", num(s.inflight_slots)),
+                ],
+            ),
+            Frame::ScenarioNames { names } => (
+                "scenarios",
+                vec![(
+                    "names",
+                    Some(Value::Seq(
+                        names.iter().map(|n| Value::Str(n.clone())).collect(),
+                    )),
+                )],
+            ),
+            Frame::JobTable(snapshot) => (
+                "jobs",
+                vec![
+                    ("now_ms", num(snapshot.now_ms)),
+                    (
+                        "jobs",
+                        Some(Value::Seq(
+                            snapshot.jobs.iter().map(job_info_value).collect(),
+                        )),
+                    ),
+                ],
+            ),
+            Frame::CancelAck { job, state } => (
+                "cancel",
+                vec![("job", num(*job)), ("state", text(state.as_str()))],
+            ),
+            Frame::ShutdownAck => ("shutdown", Vec::new()),
+            Frame::Pong { now_ms } => ("pong", vec![("now_ms", num(*now_ms))]),
+        };
+        let mut entries = vec![("event", text(event))];
+        entries.extend(fields);
+        to_json(&object(entries))
     }
 
     /// `true` for the frames that terminate a job stream.
@@ -613,228 +679,227 @@ impl Frame {
     }
 }
 
-/// Server-side encoders of the control frames (the row frame needs none —
-/// it is [`drcell_scenario::sink::row_json`] verbatim).
-pub mod frames {
-    use super::*;
+/// One `jobs` frame entry. `started`/`finished`/`deadline`/`reason` are
+/// omitted on a job that has not reached them.
+fn job_info_value(j: &JobInfo) -> Value {
+    object(vec![
+        ("job", num(j.job)),
+        ("state", text(j.state.as_str())),
+        ("scenarios", num(j.scenarios)),
+        ("completed", num(j.completed)),
+        ("queued_ms", num(j.queued_ms)),
+        ("started_ms", j.started_ms.map(Value::UInt)),
+        ("finished_ms", j.finished_ms.map(Value::UInt)),
+        ("deadline_ms", j.deadline_ms.map(Value::UInt)),
+        ("reason", j.reason.as_deref().and_then(text)),
+    ])
+}
 
-    fn event(name: &str, mut rest: Vec<(String, Value)>) -> String {
-        let mut entries = vec![("event".to_owned(), Value::Str(name.to_owned()))];
-        entries.append(&mut rest);
-        to_json(&Value::Map(entries))
-    }
-
-    /// `accepted` frame.
-    pub fn accepted(job: u64, scenarios: usize) -> String {
-        event(
-            "accepted",
-            vec![
-                ("job".to_owned(), Value::UInt(job)),
-                ("scenarios".to_owned(), Value::UInt(scenarios as u64)),
-            ],
-        )
-    }
-
-    /// `scenario` (per-scenario completion) frame.
-    pub fn scenario(job: u64, index: usize, name: &str, error: Option<&str>) -> String {
-        let mut rest = vec![
-            ("job".to_owned(), Value::UInt(job)),
-            ("index".to_owned(), Value::UInt(index as u64)),
-            ("name".to_owned(), Value::Str(name.to_owned())),
-        ];
-        if let Some(e) = error {
-            rest.push(("error".to_owned(), Value::Str(e.to_owned())));
-        }
-        event("scenario", rest)
-    }
-
-    /// `done` frame.
-    pub fn done(job: u64, ok: usize, failed: usize) -> String {
-        event(
-            "done",
-            vec![
-                ("job".to_owned(), Value::UInt(job)),
-                ("ok".to_owned(), Value::UInt(ok as u64)),
-                ("failed".to_owned(), Value::UInt(failed as u64)),
-            ],
-        )
-    }
-
-    /// `cancelled` frame. `reason` names the daemon-side cause of a
-    /// forced cancellation (`stall`, `queue_age`, `shutdown`, …); `None`
-    /// for a plain client-requested cancel.
-    pub fn cancelled(job: u64, reason: Option<&str>) -> String {
-        let mut rest = vec![("job".to_owned(), Value::UInt(job))];
-        if let Some(r) = reason {
-            rest.push(("reason".to_owned(), Value::Str(r.to_owned())));
-        }
-        event("cancelled", rest)
-    }
-
-    /// `deadline_exceeded` (stream-terminating) frame.
-    pub fn deadline_exceeded(job: u64) -> String {
-        event(
-            "deadline_exceeded",
-            vec![("job".to_owned(), Value::UInt(job))],
-        )
-    }
-
-    /// `error` frame.
-    pub fn error(message: &str) -> String {
-        event(
-            "error",
-            vec![("message".to_owned(), Value::Str(message.to_owned()))],
-        )
-    }
-
-    /// `busy` (admission refusal) frame. `retry_after_ms` is the server's
-    /// load-derived back-off hint.
-    pub fn busy(reason: &str, depth: usize, limit: usize, retry_after_ms: u64) -> String {
-        event(
-            "busy",
-            vec![
-                ("reason".to_owned(), Value::Str(reason.to_owned())),
-                ("depth".to_owned(), Value::UInt(depth as u64)),
-                ("limit".to_owned(), Value::UInt(limit as u64)),
-                ("retry_after_ms".to_owned(), Value::UInt(retry_after_ms)),
-            ],
-        )
-    }
-
-    /// `stats` (cache and queue counters) frame.
-    pub fn stats(s: &ServerStats) -> String {
-        event(
-            "stats",
-            vec![
-                ("mem_hits".to_owned(), Value::UInt(s.mem_hits)),
-                ("disk_hits".to_owned(), Value::UInt(s.disk_hits)),
-                ("misses".to_owned(), Value::UInt(s.misses)),
-                ("entries".to_owned(), Value::UInt(s.entries as u64)),
-                ("bytes".to_owned(), Value::UInt(s.bytes as u64)),
-                ("queue_depth".to_owned(), Value::UInt(s.queue_depth as u64)),
-                (
-                    "inflight_slots".to_owned(),
-                    Value::UInt(s.inflight_slots as u64),
-                ),
-            ],
-        )
-    }
-
-    /// `scenarios` (registry listing) frame.
-    pub fn scenario_names(names: &[String]) -> String {
-        event(
-            "scenarios",
-            vec![(
-                "names".to_owned(),
-                Value::Seq(names.iter().map(|n| Value::Str(n.clone())).collect()),
-            )],
-        )
-    }
-
-    /// `jobs` (table snapshot) frame. `now_ms` is the server clock the
-    /// snapshot was taken at, so clients compute durations against one
-    /// clock.
-    pub fn job_table(now_ms: u64, jobs: &[JobInfo]) -> String {
-        event(
-            "jobs",
-            vec![
-                ("now_ms".to_owned(), Value::UInt(now_ms)),
-                (
-                    "jobs".to_owned(),
-                    Value::Seq(
-                        jobs.iter()
-                            .map(|j| {
-                                let mut entries = vec![
-                                    ("job".to_owned(), Value::UInt(j.job)),
-                                    ("state".to_owned(), Value::Str(j.state.as_str().to_owned())),
-                                    ("scenarios".to_owned(), Value::UInt(j.scenarios as u64)),
-                                    ("completed".to_owned(), Value::UInt(j.completed as u64)),
-                                    ("queued_ms".to_owned(), Value::UInt(j.queued_ms)),
-                                ];
-                                if let Some(ms) = j.started_ms {
-                                    entries.push(("started_ms".to_owned(), Value::UInt(ms)));
-                                }
-                                if let Some(ms) = j.finished_ms {
-                                    entries.push(("finished_ms".to_owned(), Value::UInt(ms)));
-                                }
-                                if let Some(ms) = j.deadline_ms {
-                                    entries.push(("deadline_ms".to_owned(), Value::UInt(ms)));
-                                }
-                                if let Some(r) = &j.reason {
-                                    entries.push(("reason".to_owned(), Value::Str(r.clone())));
-                                }
-                                Value::Map(entries)
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-        )
-    }
-
-    /// `cancel` acknowledgement frame.
-    pub fn cancel_ack(job: u64, state: JobState) -> String {
-        event(
-            "cancel",
-            vec![
-                ("job".to_owned(), Value::UInt(job)),
-                ("state".to_owned(), Value::Str(state.as_str().to_owned())),
-            ],
-        )
-    }
-
-    /// `shutdown` acknowledgement frame.
-    pub fn shutdown_ack() -> String {
-        event("shutdown", Vec::new())
-    }
-
-    /// `pong` liveness frame.
-    pub fn pong(now_ms: u64) -> String {
-        event("pong", vec![("now_ms".to_owned(), Value::UInt(now_ms))])
-    }
+/// Parses one `jobs` frame entry — the inverse of [`job_info_value`].
+fn parse_job_info(jv: &Value) -> Result<JobInfo, ServeError> {
+    let entry = |field: &str| {
+        jv.get(field).and_then(Value::as_u64).ok_or_else(|| {
+            ServeError::Protocol(format!("jobs frame entry has no numeric `{field}`"))
+        })
+    };
+    Ok(JobInfo {
+        job: entry("job")?,
+        state: jv
+            .get("state")
+            .and_then(Value::as_str)
+            .and_then(JobState::from_str_wire)
+            .ok_or_else(|| ServeError::Protocol("jobs frame with bad state".to_owned()))?,
+        scenarios: entry("scenarios")? as usize,
+        completed: entry("completed")? as usize,
+        queued_ms: entry("queued_ms")?,
+        // Legitimately absent on a job that has not reached them —
+        // optional, unlike the structural counts above.
+        started_ms: jv.get("started_ms").and_then(Value::as_u64),
+        finished_ms: jv.get("finished_ms").and_then(Value::as_u64),
+        deadline_ms: jv.get("deadline_ms").and_then(Value::as_u64),
+        reason: jv.get("reason").and_then(Value::as_str).map(str::to_owned),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use drcell_scenario::registry;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
-    #[test]
-    fn requests_round_trip() {
-        let reqs = [
-            Request::Run {
-                target: RunTarget::Name("synthetic-smooth".to_owned()),
-                deadline_ms: None,
+    /// One code point, biased towards what breaks a JSON writer: quotes,
+    /// backslashes, control characters and non-BMP characters.
+    fn code_point() -> impl Strategy<Value = char> {
+        (0u32..5, any::<u32>()).prop_map(|(class, raw)| match class {
+            0 => ['"', '\\', '/', '{', '}', ',', ':'][raw as usize % 7],
+            1 => char::from_u32(raw % 0x20).expect("control character"),
+            2 => char::from_u32(0x1_0000 + raw % 0x10_0000).expect("non-BMP character"),
+            3 => char::from_u32(raw % 0x11_0000).unwrap_or('\u{fffd}'),
+            _ => char::from_u32(0x20 + raw % 0x5f).expect("printable ASCII"),
+        })
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        vec(code_point(), 0..12).prop_map(|chars| chars.into_iter().collect())
+    }
+
+    fn state(index: usize) -> JobState {
+        JobState::TABLE[index % JobState::TABLE.len()].0
+    }
+
+    fn job_info() -> impl Strategy<Value = JobInfo> {
+        (
+            0usize..6,
+            vec(any::<u64>(), 6),
+            vec(any::<bool>(), 4),
+            text(),
+        )
+            .prop_map(|(s, n, some, reason)| JobInfo {
+                job: n[0],
+                state: state(s),
+                scenarios: n[1] as usize,
+                completed: n[2] as usize,
+                queued_ms: n[3],
+                started_ms: some[0].then_some(n[4]),
+                finished_ms: some[1].then_some(n[5]),
+                deadline_ms: some[2].then_some(n[0] ^ n[5]),
+                reason: some[3].then_some(reason),
+            })
+    }
+
+    /// Frame variant `kind` (0..14 covers every variant) built from the
+    /// sampled ingredients.
+    fn frame(kind: usize, n: &[u64], a: String, b: Option<String>, names: Vec<String>) -> Frame {
+        match kind {
+            0 => Frame::Row(to_json(&Value::Map(vec![
+                ("scenario".to_owned(), Value::Str(a)),
+                ("cycle".to_owned(), Value::UInt(n[0])),
+            ]))),
+            1 => Frame::Accepted {
+                job: n[0],
+                scenarios: n[1] as usize,
             },
-            Request::Run {
-                target: RunTarget::Name("synthetic-smooth".to_owned()),
-                deadline_ms: Some(30_000),
+            2 => Frame::Scenario {
+                job: n[0],
+                index: n[1] as usize,
+                name: a,
+                error: b,
             },
-            Request::Run {
-                target: RunTarget::Spec(Box::new(registry::find("synthetic-smooth").unwrap())),
-                deadline_ms: None,
+            3 => Frame::Done {
+                job: n[0],
+                ok: n[1] as usize,
+                failed: n[2] as usize,
             },
-            Request::Sweep {
-                spec: Box::new(registry::default_sweep()),
-                range: None,
-                deadline_ms: None,
+            4 => Frame::Cancelled {
+                job: n[0],
+                reason: b,
             },
-            Request::Sweep {
-                spec: Box::new(registry::default_sweep()),
-                range: Some((2, 6)),
-                deadline_ms: Some(120_000),
+            5 => Frame::DeadlineExceeded { job: n[0] },
+            6 => Frame::Error { message: a },
+            7 => Frame::Busy {
+                reason: a,
+                depth: n[0] as usize,
+                limit: n[1] as usize,
+                retry_after_ms: n[2],
             },
-            Request::List,
-            Request::Jobs,
-            Request::Stats,
-            Request::Cancel { job: 42 },
-            Request::Shutdown,
-            Request::Ping,
-        ];
-        for req in reqs {
+            8 => Frame::Stats(ServerStats {
+                mem_hits: n[0],
+                disk_hits: n[1],
+                misses: n[2],
+                entries: n[3] as usize,
+                bytes: n[4] as usize,
+                queue_depth: n[5] as usize,
+                inflight_slots: n[6] as usize,
+            }),
+            9 => Frame::ScenarioNames { names },
+            10 => Frame::CancelAck {
+                job: n[0],
+                state: state(n[1] as usize),
+            },
+            11 => Frame::ShutdownAck,
+            12 => Frame::Pong { now_ms: n[0] },
+            // The `jobs` entries come from their own strategy.
+            _ => unreachable!("frame kind {kind}"),
+        }
+    }
+
+    /// Request variant `kind` (0..9 covers every variant).
+    fn request(kind: usize, n: &[u64], name: String, some: &[bool]) -> Request {
+        let deadline_ms = some[0].then_some(n[0]);
+        match kind {
+            0 => Request::Run {
+                target: RunTarget::Name(name),
+                deadline_ms,
+            },
+            1 => {
+                let all = registry::registry();
+                let mut spec = all[n[1] as usize % all.len()].clone();
+                spec.seed = n[2];
+                Request::Run {
+                    target: RunTarget::Spec(Box::new(spec)),
+                    deadline_ms,
+                }
+            }
+            2 => {
+                let mut spec = registry::default_sweep();
+                spec.seeds = n[3..].to_vec();
+                Request::Sweep {
+                    spec: Box::new(spec),
+                    range: some[1].then_some((n[1] as usize, n[2] as usize)),
+                    deadline_ms,
+                }
+            }
+            3 => Request::List,
+            4 => Request::Jobs,
+            5 => Request::Stats,
+            6 => Request::Cancel { job: n[1] },
+            7 => Request::Shutdown,
+            8 => Request::Ping,
+            _ => unreachable!("request kind {kind}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn requests_round_trip(
+            kind in 0usize..9,
+            n in vec(any::<u64>(), 3..7),
+            name in text(),
+            some in vec(any::<bool>(), 2),
+        ) {
+            let req = request(kind, &n, name, &some);
             let line = req.to_line();
-            assert!(!line.contains('\n'), "frames must be single lines");
-            assert_eq!(Request::parse(&line).unwrap(), req, "line {line}");
+            prop_assert!(!line.contains('\n'), "requests must be single lines: {line}");
+            prop_assert_eq!(Request::parse(&line).unwrap(), req);
+        }
+
+        #[test]
+        fn control_frames_round_trip(
+            kind in 0usize..14,
+            n in vec(any::<u64>(), 7),
+            a in text(),
+            b in (any::<bool>(), text()).prop_map(|(some, t)| some.then_some(t)),
+            names in vec(text(), 0..4),
+            jobs in (any::<u64>(), vec(job_info(), 0..4)),
+        ) {
+            let frame = match kind {
+                13 => Frame::JobTable(JobsSnapshot { now_ms: jobs.0, jobs: jobs.1 }),
+                kind => frame(kind, &n, a, b, names),
+            };
+            let line = frame.to_line();
+            prop_assert!(!line.contains('\n'), "frames must be single lines: {line}");
+            prop_assert_eq!(Frame::parse(&line).unwrap(), frame);
+            if kind != 0 {
+                prop_assert!(line.starts_with("{\"event\":"), "control frame: {line}");
+                // A line cut anywhere short of its end is an error, never
+                // a panic and never a shorter valid frame.
+                for (cut, _) in line.char_indices() {
+                    prop_assert!(Frame::parse(&line[..cut]).is_err(), "prefix {}", &line[..cut]);
+                }
+            }
         }
     }
 
@@ -882,176 +947,9 @@ mod tests {
     }
 
     #[test]
-    fn control_frames_round_trip() {
-        let cases = [
-            (
-                frames::accepted(3, 8),
-                Frame::Accepted {
-                    job: 3,
-                    scenarios: 8,
-                },
-            ),
-            (
-                frames::scenario(3, 1, "a/b", None),
-                Frame::Scenario {
-                    job: 3,
-                    index: 1,
-                    name: "a/b".to_owned(),
-                    error: None,
-                },
-            ),
-            (
-                frames::scenario(3, 2, "c", Some("boom")),
-                Frame::Scenario {
-                    job: 3,
-                    index: 2,
-                    name: "c".to_owned(),
-                    error: Some("boom".to_owned()),
-                },
-            ),
-            (
-                frames::done(3, 7, 1),
-                Frame::Done {
-                    job: 3,
-                    ok: 7,
-                    failed: 1,
-                },
-            ),
-            (
-                frames::cancelled(9, None),
-                Frame::Cancelled {
-                    job: 9,
-                    reason: None,
-                },
-            ),
-            (
-                frames::cancelled(9, Some("stall")),
-                Frame::Cancelled {
-                    job: 9,
-                    reason: Some("stall".to_owned()),
-                },
-            ),
-            (
-                frames::deadline_exceeded(4),
-                Frame::DeadlineExceeded { job: 4 },
-            ),
-            (
-                frames::error("nope"),
-                Frame::Error {
-                    message: "nope".to_owned(),
-                },
-            ),
-            (
-                frames::scenario_names(&["a".to_owned(), "b".to_owned()]),
-                Frame::ScenarioNames {
-                    names: vec!["a".to_owned(), "b".to_owned()],
-                },
-            ),
-            (
-                frames::job_table(
-                    1_700_000_002_000,
-                    &[
-                        JobInfo {
-                            job: 1,
-                            state: JobState::Running,
-                            scenarios: 4,
-                            completed: 2,
-                            queued_ms: 1_700_000_000_000,
-                            started_ms: Some(1_700_000_000_500),
-                            finished_ms: None,
-                            deadline_ms: Some(1_700_000_060_000),
-                            reason: None,
-                        },
-                        JobInfo {
-                            job: 2,
-                            state: JobState::Cancelled,
-                            scenarios: 1,
-                            completed: 0,
-                            queued_ms: 1_700_000_001_000,
-                            started_ms: None,
-                            finished_ms: None,
-                            deadline_ms: None,
-                            reason: Some("queue_age".to_owned()),
-                        },
-                    ],
-                ),
-                Frame::JobTable {
-                    now_ms: 1_700_000_002_000,
-                    jobs: vec![
-                        JobInfo {
-                            job: 1,
-                            state: JobState::Running,
-                            scenarios: 4,
-                            completed: 2,
-                            queued_ms: 1_700_000_000_000,
-                            started_ms: Some(1_700_000_000_500),
-                            finished_ms: None,
-                            deadline_ms: Some(1_700_000_060_000),
-                            reason: None,
-                        },
-                        JobInfo {
-                            job: 2,
-                            state: JobState::Cancelled,
-                            scenarios: 1,
-                            completed: 0,
-                            queued_ms: 1_700_000_001_000,
-                            started_ms: None,
-                            finished_ms: None,
-                            deadline_ms: None,
-                            reason: Some("queue_age".to_owned()),
-                        },
-                    ],
-                },
-            ),
-            (
-                frames::busy("queue_full", 32, 32, 3200),
-                Frame::Busy {
-                    reason: "queue_full".to_owned(),
-                    depth: 32,
-                    limit: 32,
-                    retry_after_ms: 3200,
-                },
-            ),
-            (
-                frames::stats(&ServerStats {
-                    mem_hits: 5,
-                    disk_hits: 2,
-                    misses: 7,
-                    entries: 3,
-                    bytes: 4096,
-                    queue_depth: 1,
-                    inflight_slots: 2,
-                }),
-                Frame::Stats(ServerStats {
-                    mem_hits: 5,
-                    disk_hits: 2,
-                    misses: 7,
-                    entries: 3,
-                    bytes: 4096,
-                    queue_depth: 1,
-                    inflight_slots: 2,
-                }),
-            ),
-            (
-                frames::cancel_ack(5, JobState::Cancelled),
-                Frame::CancelAck {
-                    job: 5,
-                    state: JobState::Cancelled,
-                },
-            ),
-            (frames::shutdown_ack(), Frame::ShutdownAck),
-            (frames::pong(1234), Frame::Pong { now_ms: 1234 }),
-        ];
-        for (line, expected) in cases {
-            assert!(line.starts_with("{\"event\":"), "control frame: {line}");
-            assert_eq!(Frame::parse(&line).unwrap(), expected, "line {line}");
-        }
-    }
-
-    #[test]
     fn missing_structural_fields_are_protocol_errors() {
         // A version-skewed server must produce a loud protocol error, not
-        // a frame with counts silently defaulted to 0.
+        // a frame with counts silently defaulted to 0 or lists to empty.
         for bad in [
             r#"{"event":"done","job":1,"ok":2}"#,
             r#"{"event":"done","job":1,"ok":2,"failed":"none"}"#,
@@ -1061,6 +959,11 @@ mod tests {
             r#"{"event":"jobs","now_ms":5,"jobs":[{"job":1,"state":"done","scenarios":1}]}"#,
             r#"{"event":"jobs","now_ms":5,"jobs":[{"job":1,"state":"done","scenarios":1,"completed":1}]}"#,
             r#"{"event":"jobs","jobs":[{"job":1,"state":"done","scenarios":1,"completed":1,"queued_ms":2}]}"#,
+            r#"{"event":"jobs","now_ms":5}"#,
+            r#"{"event":"jobs","now_ms":5,"jobs":{}}"#,
+            r#"{"event":"scenarios"}"#,
+            r#"{"event":"scenarios","names":"a"}"#,
+            r#"{"event":"scenarios","names":["a",1]}"#,
             r#"{"event":"cancel","job":1}"#,
             r#"{"event":"cancelled"}"#,
             r#"{"event":"busy","reason":"queue_full","depth":4}"#,
@@ -1078,20 +981,17 @@ mod tests {
     fn row_frames_pass_through_untouched() {
         let row = r#"{"scenario":"s","scenario_index":0,"policy":"RANDOM","task":"t","cycle":3,"selected":[1,2],"true_error":0.5,"estimated_probability":0.9,"within_epsilon":true}"#;
         assert_eq!(Frame::parse(row).unwrap(), Frame::Row(row.to_owned()));
+        assert_eq!(Frame::Row(row.to_owned()).to_line(), row);
         assert!(Frame::parse("garbage").is_err());
     }
 
     #[test]
     fn job_states_round_trip_and_terminality() {
-        for s in [
-            JobState::Queued,
-            JobState::Running,
-            JobState::Done,
-            JobState::Cancelled,
-            JobState::Failed,
-            JobState::DeadlineExceeded,
-        ] {
-            assert_eq!(JobState::from_str_wire(s.as_str()), Some(s));
+        for (index, &(s, name)) in JobState::TABLE.iter().enumerate() {
+            assert_eq!(s as usize, index, "table order is discriminant order");
+            assert_eq!(JobState::from_index(s as u8), s);
+            assert_eq!(s.as_str(), name);
+            assert_eq!(JobState::from_str_wire(name), Some(s));
         }
         assert!(JobState::Done.is_terminal());
         assert!(JobState::Cancelled.is_terminal());

@@ -73,7 +73,7 @@ use drcell_scenario::{registry, run_scenario_streaming, ScenarioSpec};
 use drcell_store::{scenario_key, Admission, Journal, ResultCache};
 
 use crate::job::{Job, JobTable};
-use crate::protocol::{frames, JobState, Request, RunTarget, ServerStats};
+use crate::protocol::{Frame, JobState, JobsSnapshot, Request, RunTarget, ServerStats};
 
 /// How often blocked connection reads wake up to poll the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
@@ -383,9 +383,7 @@ fn worker_loop(shared: &Shared) {
                         return;
                     };
                     shared.admission.release_queued();
-                    job.set_reason("shutdown");
-                    job.set_state(JobState::Cancelled);
-                    let _ = tx.send(frames::cancelled(job.id, job.reason().as_deref()));
+                    end_job(&job, &tx, JobState::Cancelled, Some("shutdown"));
                 }
             }
         }
@@ -397,24 +395,47 @@ fn worker_loop(shared: &Shared) {
 /// refused here — ended with a typed, journalled reason before a single
 /// cycle runs. Returns `true` when the job was shed.
 fn shed_on_pop(queued: &QueuedJob, shared: &Shared) -> bool {
-    let job = &queued.job;
+    let (job, tx) = (&queued.job, &queued.tx);
     let now = drcell_store::now_ms();
     if job.deadline_expired(now) {
-        job.set_reason("deadline");
-        job.set_state(JobState::DeadlineExceeded);
-        let _ = queued.tx.send(frames::deadline_exceeded(job.id));
+        end_job(job, tx, JobState::DeadlineExceeded, Some("deadline"));
         return true;
     }
     if shared.max_queue_age_ms > 0 && now.saturating_sub(job.queued_ms) > shared.max_queue_age_ms {
-        job.set_reason("queue_age");
-        job.cancel();
-        job.set_state(JobState::Cancelled);
-        let _ = queued
-            .tx
-            .send(frames::cancelled(job.id, job.reason().as_deref()));
+        end_job(job, tx, JobState::Cancelled, Some("queue_age"));
         return true;
     }
     false
+}
+
+/// Ends `job` in the terminal `state` and sends the frame that closes its
+/// stream: `done` (with the job's ok/failed counts) after `Done` or
+/// `Failed`, `cancelled` or `deadline_exceeded` after a forced end. A
+/// forced end's `reason` is recorded first (the first recorded reason
+/// wins), so the journalled terminal record and the `cancelled` frame
+/// both carry it.
+fn end_job(job: &Job, tx: &SyncSender<String>, state: JobState, reason: Option<&str>) {
+    debug_assert!(state.is_terminal(), "{state:?} does not end a stream");
+    if let Some(reason) = reason {
+        job.set_reason(reason);
+    }
+    job.set_state(state);
+    let frame = match state {
+        JobState::Cancelled => Frame::Cancelled {
+            job: job.id,
+            reason: job.reason(),
+        },
+        JobState::DeadlineExceeded => Frame::DeadlineExceeded { job: job.id },
+        _ => {
+            let (ok, failed) = job.outcome();
+            Frame::Done {
+                job: job.id,
+                ok,
+                failed,
+            }
+        }
+    };
+    let _ = tx.send(frame.to_line());
 }
 
 /// The stall watchdog: scans running jobs and cancels any that has made
@@ -457,24 +478,19 @@ fn execute_job(queued: QueuedJob, shared: &Shared) {
         tx,
     } = queued;
     if job.is_cancelled() {
-        job.set_state(JobState::Cancelled);
-        let _ = tx.send(frames::cancelled(job.id, job.reason().as_deref()));
+        end_job(&job, &tx, JobState::Cancelled, None);
         return;
     }
     job.set_state(JobState::Running);
-    let (mut ok, mut failed) = (0usize, 0usize);
     for (index, spec) in specs.iter().enumerate() {
         // Sliced sweeps report and cache under global matrix indices.
         let index = offset + index;
         if job.is_cancelled() {
-            job.set_state(JobState::Cancelled);
-            let _ = tx.send(frames::cancelled(job.id, job.reason().as_deref()));
+            end_job(&job, &tx, JobState::Cancelled, None);
             return;
         }
         if job.deadline_expired(drcell_store::now_ms()) {
-            job.set_reason("deadline");
-            job.set_state(JobState::DeadlineExceeded);
-            let _ = tx.send(frames::deadline_exceeded(job.id));
+            end_job(&job, &tx, JobState::DeadlineExceeded, Some("deadline"));
             return;
         }
         let key = shared.cache_active.then(|| scenario_key(spec, index));
@@ -498,19 +514,15 @@ fn execute_job(queued: QueuedJob, shared: &Shared) {
                 job.touch_progress();
             }
             if job.is_cancelled() {
-                job.set_state(JobState::Cancelled);
-                let _ = tx.send(frames::cancelled(job.id, job.reason().as_deref()));
+                end_job(&job, &tx, JobState::Cancelled, None);
                 return;
             }
             if expired {
-                job.set_reason("deadline");
-                job.set_state(JobState::DeadlineExceeded);
-                let _ = tx.send(frames::deadline_exceeded(job.id));
+                end_job(&job, &tx, JobState::DeadlineExceeded, Some("deadline"));
                 return;
             }
-            ok += 1;
             job.mark_scenario_finished();
-            let _ = tx.send(frames::scenario(job.id, index, &spec.name, None));
+            let _ = tx.send(scenario_frame(&job, index, spec, None));
             continue;
         }
         let policy = spec.policy.label();
@@ -552,38 +564,41 @@ fn execute_job(queued: QueuedJob, shared: &Shared) {
                 if let Some(k) = &key {
                     shared.cache.insert(k, captured);
                 }
-                ok += 1;
                 job.mark_scenario_finished();
-                let _ = tx.send(frames::scenario(job.id, index, &spec.name, None));
+                let _ = tx.send(scenario_frame(&job, index, spec, None));
             }
             Err(e) if e.is_cancelled() => {
-                job.set_state(JobState::Cancelled);
-                let _ = tx.send(frames::cancelled(job.id, job.reason().as_deref()));
+                end_job(&job, &tx, JobState::Cancelled, None);
                 return;
             }
             Err(e) if e.is_deadline() => {
-                job.set_state(JobState::DeadlineExceeded);
-                let _ = tx.send(frames::deadline_exceeded(job.id));
+                end_job(&job, &tx, JobState::DeadlineExceeded, Some("deadline"));
                 return;
             }
             Err(e) => {
-                failed += 1;
-                job.mark_scenario_finished();
-                let _ = tx.send(frames::scenario(
-                    job.id,
-                    index,
-                    &spec.name,
-                    Some(&e.to_string()),
-                ));
+                job.mark_scenario_failed();
+                let _ = tx.send(scenario_frame(&job, index, spec, Some(e.to_string())));
             }
         }
     }
-    job.set_state(if failed > 0 {
+    let (_, failed) = job.outcome();
+    let state = if failed > 0 {
         JobState::Failed
     } else {
         JobState::Done
-    });
-    let _ = tx.send(frames::done(job.id, ok, failed));
+    };
+    end_job(&job, &tx, state, None);
+}
+
+/// The `scenario` frame closing one matrix entry of `job`'s stream.
+fn scenario_frame(job: &Job, index: usize, spec: &ScenarioSpec, error: Option<String>) -> String {
+    Frame::Scenario {
+        job: job.id,
+        index,
+        name: spec.name.clone(),
+        error,
+    }
+    .to_line()
 }
 
 enum LineRead {
@@ -645,6 +660,18 @@ fn read_line(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>, shared: &Sha
     }
 }
 
+/// Writes `frame` as one reply line; `false` when the client is gone.
+fn reply(writer: &mut TcpStream, frame: &Frame) -> bool {
+    write_line(writer, &frame.to_line()).is_ok()
+}
+
+/// An `error` reply frame.
+fn error(message: impl Into<String>) -> Frame {
+    Frame::Error {
+        message: message.into(),
+    }
+}
+
 fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
     if let Some(e) = crate::fault_io("serve.write_frame") {
         // Injected write failure — the same shape as a write deadline
@@ -691,9 +718,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared, server_addr: SocketAddr
             LineRead::Overflow => {
                 // Framing is unrecoverable past the cap: one error frame,
                 // then drop the connection.
-                let _ = write_line(
+                reply(
                     &mut writer,
-                    &frames::error(&format!("request line exceeds {MAX_REQUEST_BYTES} bytes")),
+                    &error(format!("request line exceeds {MAX_REQUEST_BYTES} bytes")),
                 );
                 return;
             }
@@ -709,7 +736,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, server_addr: SocketAddr
         let keep_going = match Request::parse(trimmed) {
             // A malformed frame costs one error response, not the
             // connection (and certainly not the server).
-            Err(e) => write_line(&mut writer, &frames::error(&e.to_string())).is_ok(),
+            Err(e) => reply(&mut writer, &error(e.to_string())),
             Ok(request) => dispatch(request, &mut writer, shared, server_addr, &client),
         };
         if !keep_going {
@@ -729,21 +756,23 @@ fn dispatch(
 ) -> bool {
     match request {
         Request::List => {
-            let names: Vec<String> = registry::registry().into_iter().map(|s| s.name).collect();
-            write_line(writer, &frames::scenario_names(&names)).is_ok()
+            let names = registry::registry().into_iter().map(|s| s.name).collect();
+            reply(writer, &Frame::ScenarioNames { names })
         }
-        Request::Jobs => write_line(
+        Request::Jobs => reply(
             writer,
-            &frames::job_table(drcell_store::now_ms(), &shared.table.snapshot()),
-        )
-        .is_ok(),
+            &Frame::JobTable(JobsSnapshot {
+                now_ms: drcell_store::now_ms(),
+                jobs: shared.table.snapshot(),
+            }),
+        ),
         Request::Stats => {
             let cache = shared.cache.stats();
             let queue_depth = shared.queue.lock().expect("job queue lock").len();
             let admission = shared.admission.snapshot();
-            write_line(
+            reply(
                 writer,
-                &frames::stats(&ServerStats {
+                &Frame::Stats(ServerStats {
                     mem_hits: cache.mem_hits,
                     disk_hits: cache.disk_hits,
                     misses: cache.misses,
@@ -753,7 +782,6 @@ fn dispatch(
                     inflight_slots: admission.inflight_slots,
                 }),
             )
-            .is_ok()
         }
         Request::Cancel { job } => match shared.table.get(job) {
             Some(entry) => {
@@ -762,18 +790,20 @@ fn dispatch(
                 // flag it here so `jobs` reflects the request immediately
                 // once the worker pops it. Running jobs transition at
                 // their next cycle boundary.
-                write_line(writer, &frames::cancel_ack(job, entry.state())).is_ok()
+                let state = entry.state();
+                reply(writer, &Frame::CancelAck { job, state })
             }
-            None => write_line(writer, &frames::error(&format!("no job {job}"))).is_ok(),
+            None => reply(writer, &error(format!("no job {job}"))),
         },
         Request::Ping => {
             // Answered inline: no queue, no admission, no worker — a pong
             // certifies transport health only, which is the exact property
             // a coordinator needs before re-admitting a retired daemon.
-            write_line(writer, &frames::pong(drcell_store::now_ms())).is_ok()
+            let now_ms = drcell_store::now_ms();
+            reply(writer, &Frame::Pong { now_ms })
         }
         Request::Shutdown => {
-            let _ = write_line(writer, &frames::shutdown_ack());
+            reply(writer, &Frame::ShutdownAck);
             shared.shutdown.store(true, Ordering::Release);
             shared.available.notify_all();
             // Unblock the accept loop so it can observe the flag. A
@@ -796,13 +826,7 @@ fn dispatch(
             let spec = match target {
                 RunTarget::Name(name) => match registry::find(&name) {
                     Some(spec) => spec,
-                    None => {
-                        return write_line(
-                            writer,
-                            &frames::error(&format!("no built-in scenario `{name}`")),
-                        )
-                        .is_ok();
-                    }
+                    None => return reply(writer, &error(format!("no built-in scenario `{name}`"))),
                 },
                 RunTarget::Spec(spec) => *spec,
             };
@@ -815,7 +839,7 @@ fn dispatch(
         } => {
             let mut specs = spec.expand();
             if specs.is_empty() {
-                return write_line(writer, &frames::error("sweep expands to no scenarios")).is_ok();
+                return reply(writer, &error("sweep expands to no scenarios"));
             }
             let offset = match range {
                 None => 0,
@@ -824,15 +848,14 @@ fn dispatch(
                     // shard plan gets a loud request error, never a
                     // silently truncated slice.
                     if start >= end || end > specs.len() {
-                        return write_line(
+                        return reply(
                             writer,
-                            &frames::error(&format!(
+                            &error(format!(
                                 "sweep slice {start}..{end} is invalid for a \
                                  {}-scenario matrix",
                                 specs.len()
                             )),
-                        )
-                        .is_ok();
+                        );
                     }
                     specs.truncate(end);
                     specs.drain(..start);
@@ -878,21 +901,20 @@ fn submit(
     let _slot = match shared.admission.try_admit(client) {
         Ok(slot) => slot,
         Err(busy) => {
-            return write_line(
+            return reply(
                 writer,
-                &frames::busy(
-                    busy.reason.as_str(),
-                    busy.depth,
-                    busy.limit,
-                    busy.retry_after_ms(),
-                ),
-            )
-            .is_ok();
+                &Frame::Busy {
+                    reason: busy.reason.as_str().to_owned(),
+                    depth: busy.depth,
+                    limit: busy.limit,
+                    retry_after_ms: busy.retry_after_ms(),
+                },
+            );
         }
     };
     if shared.shutting_down() {
         shared.admission.release_queued();
-        return write_line(writer, &frames::error("server is shutting down")).is_ok();
+        return reply(writer, &error("server is shutting down"));
     }
     // The client's relative time budget becomes an absolute server-clock
     // deadline here, clamped by the server cap — skew-immune because only
@@ -922,7 +944,7 @@ fn submit(
             job.set_reason("shutdown");
             job.cancel();
             job.set_state(JobState::Cancelled);
-            return write_line(writer, &frames::error("server is shutting down")).is_ok();
+            return reply(writer, &error("server is shutting down"));
         }
         queue.push_back(QueuedJob {
             job: Arc::clone(&job),
@@ -932,8 +954,13 @@ fn submit(
         });
     }
     shared.available.notify_one();
-    let accepted = frames::accepted(job.id, scenarios);
-    let mut client_alive = write_line(writer, &accepted).is_ok();
+    let mut client_alive = reply(
+        writer,
+        &Frame::Accepted {
+            job: job.id,
+            scenarios,
+        },
+    );
     if !client_alive {
         job.set_reason("disconnect");
         job.cancel();

@@ -105,6 +105,32 @@ fn malformed_frames_get_error_responses_and_keep_the_connection() {
 }
 
 #[test]
+fn a_deeply_nested_request_is_an_error_frame_not_a_crash() {
+    let (addr, handle) = start_server(1);
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    // ~100 KB, far under the request size cap, but nested deep enough to
+    // overflow the stack of a parser that recursed without a limit.
+    writeln!(raw, "{{\"cmd\":\"run\",\"spec\":{}", "[".repeat(100_000)).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match Frame::parse(line.trim()).unwrap() {
+        Frame::Error { message } => assert!(message.contains("nests deeper"), "{message}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // The daemon, and this very connection, keep serving.
+    writeln!(raw, "{{\"cmd\":\"ping\"}}").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        matches!(Frame::parse(line.trim()).unwrap(), Frame::Pong { .. }),
+        "expected a pong, got {line}"
+    );
+    drop(raw);
+    shut_down(addr, handle);
+}
+
+#[test]
 fn ping_answers_inline_with_the_server_clock() {
     let (addr, handle) = start_server(1);
     let mut client = Client::connect(addr).unwrap();

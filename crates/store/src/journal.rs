@@ -1,9 +1,9 @@
-//! The durable job journal: an append-only, line-delimited log of job
-//! state transitions, replayable into a job table after a daemon restart.
+//! The durable journal: an append-only, line-delimited log, plus the job
+//! lifecycle [`Record`] codec the serving daemon writes into it.
 //!
-//! Each record is one line of compact JSON (the same writer the wire
+//! Each line is one record of compact JSON (the same writer the wire
 //! protocol uses, so the log is greppable and newline-framed). Appends
-//! are flushed per record; a crash can therefore lose at most the line
+//! are flushed per line; a crash can therefore lose at most the line
 //! being written, and [`Journal::replay`] tolerates exactly that — a
 //! truncated or garbled final line is skipped, never fatal (every earlier
 //! line was complete when its flush returned). [`Journal::open`] truncates
@@ -12,18 +12,16 @@
 //! would turn a recoverable crash artefact into mid-file corruption on the
 //! following restart).
 //!
-//! The journal records *facts*, not intentions: `create` when a job is
-//! accepted, `state` whenever its lifecycle state changes. Recovery
-//! policy (what to do with a job that was `queued` or `running` when the
-//! process died) belongs to the replayer — the serving daemon marks such
-//! jobs `cancelled` and journals that decision, so after a restart the
-//! table reports them honestly instead of silently dropping them.
-//!
-//! The line-level machinery (append-with-flush, torn-tail repair, atomic
-//! compaction) is its own type, [`LineJournal`], so other durable logs —
-//! the federated sweep manifest in `drcell-serve` — reuse the exact
-//! crash-recovery semantics without re-deriving them. [`Journal`] is the
-//! job-record typed wrapper over it.
+//! Lines are opaque to [`Journal`]: a log's owner passes its record parser
+//! to [`Journal::replay`] and inherits the crash-recovery semantics. The
+//! daemon's job table journals [`Record`]s — *facts*, not intentions:
+//! `create` when a job is accepted, `state` whenever its lifecycle state
+//! changes. Recovery policy (what to do with a job that was `queued` or
+//! `running` when the process died) belongs to the replayer — the serving
+//! daemon marks such jobs `cancelled` and journals that decision, so after
+//! a restart the table reports them honestly instead of silently dropping
+//! them. The federated sweep manifest in `drcell-serve` is the other log
+//! over this type.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -70,7 +68,9 @@ pub enum Record {
 }
 
 impl Record {
-    fn to_line(&self) -> String {
+    /// Encodes the record as its journal line (no trailing newline);
+    /// `None` fields are omitted.
+    pub fn to_line(&self) -> String {
         let entries = match self {
             Record::Create {
                 job,
@@ -112,7 +112,9 @@ impl Record {
         to_json(&Value::Map(entries))
     }
 
-    fn parse(line: &str) -> Option<Record> {
+    /// Decodes one journal line; `None` for anything that is not a
+    /// well-formed record (the [`Journal::replay`] parser contract).
+    pub fn parse(line: &str) -> Option<Record> {
         let v = parse_json(line).ok()?;
         let field = |name: &str| v.get(name).and_then(Value::as_u64);
         match v.get("op").and_then(Value::as_str)? {
@@ -143,19 +145,20 @@ pub fn now_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// The line-level durable log: append-with-flush, torn-tail repair on
-/// open, atomic compaction. Lines are opaque here — typed journals (the
-/// job [`Journal`], the serve crate's sweep manifest) layer their record
-/// grammar on top and inherit the crash-recovery semantics.
+/// The durable log: append-with-flush, torn-tail repair on open, atomic
+/// compaction, and replay under the torn-tail rule. Lines are opaque here
+/// — each log's owner brings its own record codec (the job [`Record`],
+/// the serve crate's sweep manifest) and inherits the crash-recovery
+/// semantics.
 ///
 /// Shareable: appends lock internally and flush before returning.
 #[derive(Debug)]
-pub struct LineJournal {
+pub struct Journal {
     path: PathBuf,
     writer: Mutex<BufWriter<File>>,
 }
 
-impl LineJournal {
+impl Journal {
     /// Opens (creating if absent) the log at `path` for appending. A torn
     /// final line left by a crash mid-append is truncated away first —
     /// replay already skips it, but appending after it would glue the
@@ -164,7 +167,7 @@ impl LineJournal {
     /// # Errors
     ///
     /// Propagates file creation/open failures.
-    pub fn open(path: &Path) -> std::io::Result<LineJournal> {
+    pub fn open(path: &Path) -> std::io::Result<Journal> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -172,7 +175,7 @@ impl LineJournal {
         }
         repair_torn_tail(path)?;
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(LineJournal {
+        Ok(Journal {
             path: path.to_path_buf(),
             writer: Mutex::new(BufWriter::new(file)),
         })
@@ -245,95 +248,31 @@ impl LineJournal {
         Ok(())
     }
 
-    /// Reads the log at `path` back as its non-empty lines, in append
-    /// order. A missing file replays as empty (first boot). Line *syntax*
-    /// is not interpreted here — typed replayers parse each line and
-    /// apply the torn-tail rule (an unparseable **final** line is a crash
-    /// artefact to skip; unparseable earlier lines are corruption).
+    /// Replays the log at `path` through `parse`, in append order. A
+    /// missing file replays as empty (first boot). A final line `parse`
+    /// rejects — the signature of a crash mid-append — is skipped. A
+    /// rejected line *before* the last is an error: that is corruption,
+    /// not a crash artefact, and silently dropping acknowledged records
+    /// would break the durability contract. `parse` sees every non-empty
+    /// line in order, so it may carry state (a header that validates
+    /// later records).
     ///
     /// # Errors
     ///
-    /// Propagates read failures.
-    pub fn lines(path: &Path) -> std::io::Result<Vec<String>> {
+    /// Propagates read failures; `InvalidData` on mid-file corruption.
+    pub fn replay<T>(
+        path: &Path,
+        mut parse: impl FnMut(&str) -> Option<T>,
+    ) -> std::io::Result<Vec<T>> {
         let content = match std::fs::read_to_string(path) {
             Ok(c) => c,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),
         };
-        Ok(content
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(str::to_owned)
-            .collect())
-    }
-}
-
-/// An append-only journal of job lifecycle [`Record`]s over one log file.
-/// The typed face of [`LineJournal`]: same durability, torn-tail and
-/// compaction semantics, with the record grammar enforced on replay.
-#[derive(Debug)]
-pub struct Journal {
-    inner: LineJournal,
-}
-
-impl Journal {
-    /// Opens (creating if absent) the journal at `path` for appending.
-    /// A torn final line left by a crash mid-append is truncated away
-    /// first — [`Journal::replay`] already skips it, but appending after
-    /// it would glue the next record onto the partial line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file creation/open failures.
-    pub fn open(path: &Path) -> std::io::Result<Journal> {
-        Ok(Journal {
-            inner: LineJournal::open(path)?,
-        })
-    }
-
-    /// The journal file's path.
-    pub fn path(&self) -> &Path {
-        self.inner.path()
-    }
-
-    /// Appends one record and flushes it to the OS. Append failures are
-    /// reported but the journal stays usable (the next append retries the
-    /// stream).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write/flush failures.
-    pub fn append(&self, record: &Record) -> std::io::Result<()> {
-        self.inner.append(&record.to_line())
-    }
-
-    /// Atomically rewrites the journal to exactly `records` — see
-    /// [`LineJournal::compact`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates write/rename failures; on error the original journal is
-    /// untouched (the rename is the commit point).
-    pub fn compact(&self, records: &[Record]) -> std::io::Result<()> {
-        let lines: Vec<String> = records.iter().map(Record::to_line).collect();
-        self.inner.compact(&lines)
-    }
-
-    /// Replays the journal at `path` into its record sequence, in append
-    /// order. A missing file replays as empty (first boot); a truncated
-    /// or garbled final line — the signature of a crash mid-append — is
-    /// skipped. Garbage *before* the last line is an error: that is
-    /// corruption, not a crash artefact, and silently dropping acknowledged
-    /// state transitions would break the durability contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates read failures and mid-file corruption.
-    pub fn replay(path: &Path) -> std::io::Result<Vec<Record>> {
-        let lines = LineJournal::lines(path)?;
+        let lines: Vec<&str> = content.lines().filter(|l| !l.trim().is_empty()).collect();
         let mut records = Vec::with_capacity(lines.len());
         for (i, line) in lines.iter().enumerate() {
-            match Record::parse(line) {
+            match parse(line) {
                 Some(r) => records.push(r),
                 None if i + 1 == lines.len() => {
                     // Torn final line from a crash mid-append: drop it.
@@ -376,6 +315,10 @@ fn repair_torn_tail(path: &Path) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
+    fn replay(path: &Path) -> std::io::Result<Vec<Record>> {
+        Journal::replay(path, Record::parse)
+    }
+
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("drcell-journal-{tag}-{}", std::process::id()))
     }
@@ -409,21 +352,24 @@ mod tests {
         {
             let journal = Journal::open(&path).unwrap();
             for r in &records {
-                journal.append(r).unwrap();
+                journal.append(&r.to_line()).unwrap();
             }
         }
-        assert_eq!(Journal::replay(&path).unwrap(), records);
+        assert_eq!(replay(&path).unwrap(), records);
         // Re-opening appends, never truncates.
         let journal = Journal::open(&path).unwrap();
         journal
-            .append(&Record::Create {
-                job: 2,
-                scenarios: 1,
-                at_ms: 3000,
-                deadline_ms: None,
-            })
+            .append(
+                &Record::Create {
+                    job: 2,
+                    scenarios: 1,
+                    at_ms: 3000,
+                    deadline_ms: None,
+                }
+                .to_line(),
+            )
             .unwrap();
-        assert_eq!(Journal::replay(&path).unwrap().len(), 4);
+        assert_eq!(replay(&path).unwrap().len(), 4);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -474,7 +420,7 @@ mod tests {
     fn missing_file_replays_empty() {
         let path = temp_path("missing");
         let _ = std::fs::remove_file(&path);
-        assert_eq!(Journal::replay(&path).unwrap(), Vec::new());
+        assert_eq!(replay(&path).unwrap(), Vec::new());
     }
 
     #[test]
@@ -483,25 +429,28 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let journal = Journal::open(&path).unwrap();
         journal
-            .append(&Record::Create {
-                job: 1,
-                scenarios: 1,
-                at_ms: 7,
-                deadline_ms: None,
-            })
+            .append(
+                &Record::Create {
+                    job: 1,
+                    scenarios: 1,
+                    at_ms: 7,
+                    deadline_ms: None,
+                }
+                .to_line(),
+            )
             .unwrap();
         drop(journal);
         // Simulate a crash mid-append: a truncated trailing line.
         let mut content = std::fs::read_to_string(&path).unwrap();
         content.push_str("{\"op\":\"state\",\"job\":1,\"sta");
         std::fs::write(&path, &content).unwrap();
-        let replayed = Journal::replay(&path).unwrap();
+        let replayed = replay(&path).unwrap();
         assert_eq!(replayed.len(), 1);
         // But garbage *between* valid records is corruption.
         let torn = std::fs::read_to_string(&path).unwrap();
         let corrupted = format!("not json at all\n{torn}");
         std::fs::write(&path, corrupted).unwrap();
-        assert!(Journal::replay(&path).is_err());
+        assert!(replay(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -517,7 +466,7 @@ mod tests {
         };
         {
             let journal = Journal::open(&path).unwrap();
-            journal.append(&first).unwrap();
+            journal.append(&first.to_line()).unwrap();
         }
         // Crash mid-append: a partial line with no trailing newline.
         let mut content = std::fs::read_to_string(&path).unwrap();
@@ -534,10 +483,10 @@ mod tests {
             at_ms: 9,
             reason: None,
         };
-        journal.append(&second).unwrap();
+        journal.append(&second.to_line()).unwrap();
         drop(journal);
         assert_eq!(
-            Journal::replay(&path).unwrap(),
+            replay(&path).unwrap(),
             vec![first, second],
             "torn tail must be truncated, not glued into the next record"
         );
@@ -545,15 +494,18 @@ mod tests {
         std::fs::write(&path, "{\"op\":\"cre").unwrap();
         let journal = Journal::open(&path).unwrap();
         journal
-            .append(&Record::Create {
-                job: 1,
-                scenarios: 2,
-                at_ms: 1,
-                deadline_ms: None,
-            })
+            .append(
+                &Record::Create {
+                    job: 1,
+                    scenarios: 2,
+                    at_ms: 1,
+                    deadline_ms: None,
+                }
+                .to_line(),
+            )
             .unwrap();
         drop(journal);
-        assert_eq!(Journal::replay(&path).unwrap().len(), 1);
+        assert_eq!(replay(&path).unwrap().len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -564,13 +516,16 @@ mod tests {
         let journal = Journal::open(&path).unwrap();
         for i in 0..10 {
             journal
-                .append(&Record::State {
-                    job: 1,
-                    state: "running".to_owned(),
-                    completed: i,
-                    at_ms: i as u64,
-                    reason: None,
-                })
+                .append(
+                    &Record::State {
+                        job: 1,
+                        state: "running".to_owned(),
+                        completed: i,
+                        at_ms: i as u64,
+                        reason: None,
+                    }
+                    .to_line(),
+                )
                 .unwrap();
         }
         let snapshot = vec![Record::Create {
@@ -579,8 +534,8 @@ mod tests {
             at_ms: 0,
             deadline_ms: None,
         }];
-        journal.compact(&snapshot).unwrap();
-        assert_eq!(Journal::replay(&path).unwrap(), snapshot);
+        journal.compact(&[snapshot[0].to_line()]).unwrap();
+        assert_eq!(replay(&path).unwrap(), snapshot);
         // Appends after compaction land in the rewritten file.
         let tail = Record::State {
             job: 1,
@@ -589,12 +544,9 @@ mod tests {
             at_ms: 11,
             reason: None,
         };
-        journal.append(&tail).unwrap();
+        journal.append(&tail.to_line()).unwrap();
         drop(journal);
-        assert_eq!(
-            Journal::replay(&path).unwrap(),
-            vec![snapshot[0].clone(), tail]
-        );
+        assert_eq!(replay(&path).unwrap(), vec![snapshot[0].clone(), tail]);
         let _ = std::fs::remove_file(&path);
     }
 }

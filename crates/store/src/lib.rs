@@ -17,9 +17,14 @@
 //! - [`cache::ResultCache`] is a bounded in-memory LRU over finished row
 //!   streams with optional content-addressed disk spill (atomic rename);
 //!   a warm hit replays the exact bytes a recompute would stream.
-//! - [`journal::Journal`] is an append-only log of job lifecycle facts;
-//!   replaying it after a restart reconstructs the job table, so `jobs`
-//!   and `cancel` semantics survive the process.
+//! - [`journal::Journal`] is the one durable log: newline-framed appends
+//!   flushed per line, torn-tail repair on open, atomic compaction, and a
+//!   replay that skips a torn final line but fails on mid-file
+//!   corruption. Its owners bring their own line codec: the daemon's job
+//!   table journals [`journal::Record`]s (replaying them after a restart
+//!   reconstructs the table, so `jobs` and `cancel` semantics survive the
+//!   process), and `drcell-serve`'s sweep manifest journals shard
+//!   checkpoints.
 //! - [`admission::Admission`] bounds queue depth and per-client in-flight
 //!   jobs, turning overload into a structured `busy` refusal instead of
 //!   unbounded queue growth.
@@ -46,7 +51,7 @@ pub mod sha256;
 
 pub use admission::{Admission, AdmissionSnapshot, Busy, BusyReason, Slot};
 pub use cache::{CacheStats, ResultCache};
-pub use journal::{now_ms, Journal, LineJournal, Record};
+pub use journal::{now_ms, Journal, Record};
 pub use key::scenario_key;
 
 /// Evaluate a named failpoint, mapping any fault onto `std::io::Error`.

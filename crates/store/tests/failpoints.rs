@@ -5,15 +5,20 @@
 
 #![cfg(feature = "failpoints")]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-use drcell_store::{LineJournal, ResultCache};
+use drcell_store::{Journal, ResultCache};
 
 /// The failpoint registry is process-global; serialise these tests.
 fn lock() -> MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
     GUARD.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The log's lines, read back through the journal's own replay.
+fn lines(path: &Path) -> Vec<String> {
+    Journal::replay(path, |line| Some(line.to_owned())).unwrap()
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -26,17 +31,14 @@ fn journal_append_fault_is_a_typed_error_and_the_journal_recovers() {
     drcell_faults::clear();
     let dir = temp_dir("append");
     let _ = std::fs::remove_dir_all(&dir);
-    let journal = LineJournal::open(&dir.join("log.jsonl")).unwrap();
+    let journal = Journal::open(&dir.join("log.jsonl")).unwrap();
     drcell_faults::configure("store.journal.append", "1*error(disk full)").unwrap();
     let err = journal.append("{\"op\":\"a\"}").unwrap_err();
     assert!(err.to_string().contains("disk full"), "{err}");
     // The schedule is exhausted; the journal object stays usable and the
     // failed record never half-landed in the file.
     journal.append("{\"op\":\"b\"}").unwrap();
-    assert_eq!(
-        LineJournal::lines(journal.path()).unwrap(),
-        vec!["{\"op\":\"b\"}".to_owned()]
-    );
+    assert_eq!(lines(journal.path()), vec!["{\"op\":\"b\"}".to_owned()]);
     drcell_faults::clear();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -47,7 +49,7 @@ fn journal_compact_fault_leaves_the_original_log_intact() {
     drcell_faults::clear();
     let dir = temp_dir("compact");
     let _ = std::fs::remove_dir_all(&dir);
-    let journal = LineJournal::open(&dir.join("log.jsonl")).unwrap();
+    let journal = Journal::open(&dir.join("log.jsonl")).unwrap();
     journal.append("{\"op\":\"a\"}").unwrap();
     journal.append("{\"op\":\"b\"}").unwrap();
     drcell_faults::configure("store.journal.compact", "1*error(rename refused)").unwrap();
@@ -57,13 +59,10 @@ fn journal_compact_fault_leaves_the_original_log_intact() {
     assert!(err.to_string().contains("rename refused"), "{err}");
     // The rename is the commit point: a failed compaction must not have
     // touched the live file.
-    assert_eq!(LineJournal::lines(journal.path()).unwrap().len(), 2);
+    assert_eq!(lines(journal.path()).len(), 2);
     // And the next compaction goes through.
     journal.compact(&["{\"op\":\"snap\"}".to_owned()]).unwrap();
-    assert_eq!(
-        LineJournal::lines(journal.path()).unwrap(),
-        vec!["{\"op\":\"snap\"}".to_owned()]
-    );
+    assert_eq!(lines(journal.path()), vec!["{\"op\":\"snap\"}".to_owned()]);
     drcell_faults::clear();
     let _ = std::fs::remove_dir_all(&dir);
 }
