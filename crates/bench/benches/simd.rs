@@ -169,7 +169,7 @@ fn als_median(choice: BackendChoice, rank: usize) -> f64 {
     let obs = loo_working_set(16);
     let cycle = obs.cycles() - 1;
     let assessor = assessor();
-    let mut engine = BatchedLooEngine::new(cfg).unwrap().with_threads(1);
+    let mut engine = BatchedLooEngine::new(cfg).unwrap();
     median_us(15, || {
         black_box(assessor.assess_with(&obs, cycle, &mut engine).unwrap());
     })
@@ -235,10 +235,10 @@ fn assert_bit_identity() {
     let assessor = assessor();
 
     backend::select(BackendChoice::Scalar);
-    let mut engine = BatchedLooEngine::new(cfg.clone()).unwrap().with_threads(1);
+    let mut engine = BatchedLooEngine::new(cfg.clone()).unwrap();
     let scalar = assessor.assess_with(&obs, cycle, &mut engine).unwrap();
     backend::select(BackendChoice::Simd);
-    let mut engine = BatchedLooEngine::new(cfg).unwrap().with_threads(1);
+    let mut engine = BatchedLooEngine::new(cfg).unwrap();
     let simd = assessor.assess_with(&obs, cycle, &mut engine).unwrap();
     assert_eq!(
         scalar.probability, simd.probability,

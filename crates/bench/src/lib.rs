@@ -4,7 +4,7 @@
 //! this library holds the shared task builders and the scale switch so the
 //! same code paths serve both the full paper-scale runs and quick
 //! smoke-test runs. The `benches/` directory additionally hosts the CI
-//! regression gates (`loo`, `train_step`, `par`, `serve`, `load`, `simd`),
+//! regression gates (`loo`, `train_step`, `serve`, `load`, `simd`),
 //! all built on the [`gate`] module and the committed `BENCH_*.json`
 //! baselines at the repository root.
 //!
@@ -22,32 +22,17 @@
 //! runs. Checks come in two classes:
 //!
 //! * **machine-independent** — bit-identity, same-run speedup ratios
-//!   (batched vs naive, pooled vs serial), and regressions of
-//!   *normalised* medians (each timing divided by a same-run yardstick,
-//!   e.g. the naive median). These are armed on every runner, against any
-//!   baseline.
-//! * **hardware-dependent** — absolute medians (armed only when the
-//!   baseline's yardstick shows a comparable machine, within 0.7–1.4×)
-//!   and the pooled-speedup contracts of the `par` bench (armed only when
-//!   **both** this machine and the recording machine report ≥ 4 hardware
-//!   threads; a contract never measured on a runner class must not
-//!   hard-fail its first run there).
+//!   (batched vs naive), and regressions of *normalised* medians (each
+//!   timing divided by a same-run yardstick, e.g. the naive median). These
+//!   are armed on every runner, against any baseline.
+//! * **hardware-dependent** — absolute medians, armed only when the
+//!   baseline's yardstick shows a comparable machine (within 0.7–1.4×).
 //!
-//! **The committed `BENCH_par.json` was recorded on a 2-thread machine**,
-//! so the ≥ 2×-pooled-at-4-threads gate and the pooled-ratio regressions
-//! currently print-and-skip. To arm them, re-record on any ≥ 4-thread
-//! machine (a standard 4-vCPU CI runner qualifies — check `nproc`):
-//!
-//! ```text
-//! cargo bench -p drcell-bench --bench par -- --write BENCH_par.json
-//! ```
-//!
-//! and commit the result. The baseline embeds the recording machine's
-//! `drcell_pool::hardware_threads()`, which is how `--check` decides what
-//! to arm; nothing else needs changing. The same procedure refreshes the
-//! other baselines when the CI runner class changes (a >15% *normalised*
-//! drift on an unchanged workload is a real regression, not runner noise
-//! — investigate before re-recording over it).
+//! Every bench times single-threaded scenario code: a scenario never
+//! spawns threads, so no gate depends on the runner's core count. Refresh
+//! a baseline with `--write` when the CI runner class changes (a >15%
+//! *normalised* drift on an unchanged workload is a real regression, not
+//! runner noise — investigate before re-recording over it).
 
 #![deny(missing_docs)]
 
@@ -204,8 +189,8 @@ pub fn median_us<F: FnMut()>(samples: usize, mut f: F) -> f64 {
 }
 
 /// Shared plumbing of the gated regression benches (`loo`, `train_step`,
-/// `par`, `serve`, `load`, `simd`): workspace-root path resolution, the flat-JSON baseline
-/// format, and `--flag value` argument parsing. One definition so every
+/// `serve`, `load`, `simd`): workspace-root path resolution, the flat-JSON
+/// baseline format, and `--flag value` argument parsing. One definition so every
 /// gate reads and writes baselines the same way.
 pub mod gate {
     use std::path::{Path, PathBuf};

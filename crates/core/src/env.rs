@@ -34,9 +34,7 @@ pub struct McsEnvConfig {
     pub backend: AssessmentBackend,
     /// Hard cap on selections per cycle (`None` = all cells).
     pub max_selections_per_cycle: Option<usize>,
-    /// Worker-pool size for the in-loop completion's inner parallelism
-    /// (ALS sweeps): `0` = the process budget share, `1` = strictly
-    /// serial. Rollout rewards are bit-identical at any setting.
+    /// Ignored (kept for `e2ebench/`).
     pub inner_threads: usize,
 }
 
@@ -120,12 +118,9 @@ impl McsEnvironment {
             }
         }
         let truth = task.training_data();
-        let cs =
-            CompressiveSensing::new(config.inference.clone())?.with_threads(config.inner_threads);
+        let cs = CompressiveSensing::new(config.inference.clone())?;
         let completer = match config.backend {
-            AssessmentBackend::Batched => Some(
-                BatchedLooEngine::new(config.inference.clone())?.with_threads(config.inner_threads),
-            ),
+            AssessmentBackend::Batched => Some(BatchedLooEngine::new(config.inference.clone())?),
             AssessmentBackend::Naive => None,
         };
         let obs = ObservedMatrix::new(truth.cells(), truth.cycles());

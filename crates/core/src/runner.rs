@@ -52,18 +52,13 @@ pub struct RunnerConfig {
     /// Assess quality every `assess_every` selections after the minimum
     /// (1 = after every selection, the paper's loop).
     pub assess_every: usize,
-    /// Worker-pool size for the intra-assessment parallelism (the
-    /// leave-one-out cell fan-out and the ALS/GEMM inner loops): `0` =
-    /// this runner's share of the process thread budget (all cores for a
-    /// single run, the remainder under an outer scenario sweep), `1` =
-    /// strictly serial. Results are bit-identical at any setting — pin `1`
-    /// only to simplify profiling or low-level debugging.
+    /// Ignored (kept for `e2ebench/`).
     pub inner_threads: usize,
     /// Compute backend for the dense kernels (GEMM, ALS gram updates,
     /// ReLU fusion): `Auto` (default) resolves `DRCELL_BACKEND` then
-    /// hardware detection; `Scalar`/`Simd` force a backend. Like
-    /// `inner_threads`, this is an execution knob — every backend emits
-    /// bit-identical results, so it never appears in recorded rows.
+    /// hardware detection; `Scalar`/`Simd` force a backend. This is an
+    /// execution knob — every backend emits bit-identical results, so it
+    /// never appears in recorded rows.
     pub compute_backend: BackendChoice,
 }
 
@@ -203,10 +198,8 @@ impl<'a> SparseMcsRunner<'a> {
         // run touches (final inference, assessment, policy networks) sees
         // one consistent selection.
         backend::select(config.compute_backend);
-        let final_cs =
-            CompressiveSensing::new(config.inference.clone())?.with_threads(config.inner_threads);
-        let assess_cs = CompressiveSensing::new(config.assessment_inference.clone())?
-            .with_threads(config.inner_threads);
+        let final_cs = CompressiveSensing::new(config.inference.clone())?;
+        let assess_cs = CompressiveSensing::new(config.assessment_inference.clone())?;
         let assessor = QualityAssessor::new(task.requirement(), task.metric());
         Ok(SparseMcsRunner {
             task,
@@ -280,8 +273,7 @@ impl<'a> SparseMcsRunner<'a> {
         let mut batched = match self.config.assessment_backend {
             AssessmentBackend::Batched => Some(
                 BatchedLooEngine::new(self.config.assessment_inference.clone())
-                    .expect("assessment config validated in SparseMcsRunner::new")
-                    .with_threads(self.config.inner_threads),
+                    .expect("assessment config validated in SparseMcsRunner::new"),
             ),
             AssessmentBackend::Naive => None,
         };
@@ -549,31 +541,6 @@ mod tests {
                     a.cycle
                 );
             }
-        }
-    }
-
-    #[test]
-    fn inner_thread_counts_produce_identical_cycle_records() {
-        // The pool determinism contract, end to end through the runner:
-        // selections, errors and probabilities must be bit-identical
-        // whether the assessment fan-out is serial, pooled, or auto-sized.
-        let task = smooth_task(0.4);
-        let run = |inner: usize| {
-            let cfg = RunnerConfig {
-                window: 8,
-                inner_threads: inner,
-                ..Default::default()
-            };
-            let mut rng = StdRng::seed_from_u64(11);
-            SparseMcsRunner::new(&task, cfg)
-                .unwrap()
-                .run(&mut RandomPolicy::new(), &mut rng)
-                .unwrap()
-        };
-        let serial = run(1);
-        for inner in [0usize, 2, 4] {
-            let pooled = run(inner);
-            assert_eq!(serial.cycles, pooled.cycles, "inner_threads {inner}");
         }
     }
 

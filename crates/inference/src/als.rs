@@ -16,7 +16,6 @@
 //! build serve every leave-one-out sub-problem, whose means all differ.
 
 use drcell_linalg::{backend, kernels, solve, Matrix};
-use drcell_pool::Pool;
 
 use crate::{InferenceError, ObservedMatrix};
 
@@ -157,19 +156,10 @@ impl AlsProblem<'_> {
     }
 }
 
-/// Minimum row solves per worker before a half-sweep fans out on the pool.
-///
-/// A single row solve is small (O(r²·obs) accumulation plus an r×r
-/// Cholesky, ~1 µs at the paper's ranks and windows), so parallelism only
-/// pays once a half-sweep carries hundreds of rows per worker; below the
-/// threshold the sweep runs the serial path unchanged.
-const PAR_ROWS_PER_WORKER: usize = 256;
-
 /// Reusable per-row normal-equation buffers for the ALS sweeps: one Gram
 /// matrix and one right-hand side, zeroed per row instead of reallocated.
 ///
-/// The serial path carries one scratch across every row of every sweep;
-/// the pooled path gives each worker its own. Either way the row
+/// One scratch is carried across every row of every sweep; the row
 /// arithmetic (zero, accumulate, ridge, in-place Cholesky) is bit-identical
 /// to the historical allocate-per-row code.
 #[derive(Debug, Clone)]
@@ -225,52 +215,39 @@ fn solve_u_row(
     Ok(())
 }
 
-/// Solves every row of `U` given the current `V` (one U-half-sweep),
-/// fanning rows across `pool` when the sweep is large enough to pay for it.
-///
-/// Row solves are independent and each writes only its own row, so the
-/// result is bit-identical at any worker count.
+/// Solves every row of `U` given the current `V` (one U-half-sweep).
 ///
 /// # Errors
 ///
-/// Propagates SPD solver failures (lowest failing row under the pool).
+/// Propagates SPD solver failures.
 pub(crate) fn sweep_u(
     p: &AlsProblem<'_>,
     u: &mut Matrix,
     v: &Matrix,
-    pool: &Pool,
     scratch: &mut AlsScratch,
 ) -> Result<(), InferenceError> {
-    let r = p.data.r;
-    let m = p.data.m;
-    let workers = pool.workers_for(m / PAR_ROWS_PER_WORKER);
-    if workers > 1 {
-        Pool::new(workers).try_run_slots(
-            u.as_mut_slice(),
-            r,
-            || AlsScratch::new(r),
-            |i, row, s| solve_u_row(p, i, v, row, s),
-        )?;
-    } else {
-        for i in 0..m {
-            solve_u_row(p, i, v, u.row_mut(i), scratch)?;
-        }
+    for i in 0..p.data.m {
+        solve_u_row(p, i, v, u.row_mut(i), scratch)?;
     }
     Ok(())
 }
 
-/// Solves row `t` of `V` into `row` (a borrowed view of `V`'s storage).
-fn solve_v_row_into(
+/// Solves one row of `V` (one cycle's factor) given the current `U`.
+///
+/// # Errors
+///
+/// Propagates SPD solver failures.
+pub(crate) fn solve_v_row(
     p: &AlsProblem<'_>,
-    t: usize,
     u: &Matrix,
-    row: &mut [f64],
+    v: &mut Matrix,
+    t: usize,
     s: &mut AlsScratch,
 ) -> Result<(), InferenceError> {
     let r = p.data.r;
     let n_eff = p.col_len(t);
     if n_eff == 0 {
-        row.fill(0.0);
+        v.row_mut(t).fill(0.0);
         return Ok(());
     }
     s.gram.as_mut_slice().fill(0.0);
@@ -289,52 +266,23 @@ fn solve_v_row_into(
         s.gram[(a, a)] += ridge;
     }
     solve::solve_spd_in_place(&mut s.gram, &mut s.rhs)?;
-    row.copy_from_slice(&s.rhs);
+    v.row_mut(t).copy_from_slice(&s.rhs);
     Ok(())
 }
 
-/// Solves one row of `V` (one cycle's factor) given the current `U`.
+/// Solves every row of `V` given the current `U` (one V-half-sweep).
 ///
 /// # Errors
 ///
 /// Propagates SPD solver failures.
-pub(crate) fn solve_v_row(
-    p: &AlsProblem<'_>,
-    u: &Matrix,
-    v: &mut Matrix,
-    t: usize,
-    s: &mut AlsScratch,
-) -> Result<(), InferenceError> {
-    solve_v_row_into(p, t, u, v.row_mut(t), s)
-}
-
-/// Solves every row of `V` given the current `U` (one V-half-sweep),
-/// pooled like [`sweep_u`].
-///
-/// # Errors
-///
-/// Propagates SPD solver failures (lowest failing row under the pool).
 pub(crate) fn sweep_v(
     p: &AlsProblem<'_>,
     u: &Matrix,
     v: &mut Matrix,
-    pool: &Pool,
     scratch: &mut AlsScratch,
 ) -> Result<(), InferenceError> {
-    let r = p.data.r;
-    let n = p.data.n;
-    let workers = pool.workers_for(n / PAR_ROWS_PER_WORKER);
-    if workers > 1 {
-        Pool::new(workers).try_run_slots(
-            v.as_mut_slice(),
-            r,
-            || AlsScratch::new(r),
-            |t, row, s| solve_v_row_into(p, t, u, row, s),
-        )?;
-    } else {
-        for t in 0..n {
-            solve_v_row_into(p, t, u, v.row_mut(t), scratch)?;
-        }
+    for t in 0..p.data.n {
+        solve_v_row(p, u, v, t, scratch)?;
     }
     Ok(())
 }
@@ -368,7 +316,6 @@ pub(crate) fn objective(p: &AlsProblem<'_>, u: &Matrix, v: &Matrix) -> f64 {
 /// # Errors
 ///
 /// Propagates SPD solver failures.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sweeps(
     p: &AlsProblem<'_>,
     u: &mut Matrix,
@@ -376,12 +323,11 @@ pub(crate) fn run_sweeps(
     max_iters: usize,
     tol: f64,
     mut prev_obj: f64,
-    pool: &Pool,
     scratch: &mut AlsScratch,
 ) -> Result<usize, InferenceError> {
     for sweep in 0..max_iters {
-        sweep_u(p, u, v, pool, scratch)?;
-        sweep_v(p, u, v, pool, scratch)?;
+        sweep_u(p, u, v, scratch)?;
+        sweep_v(p, u, v, scratch)?;
         let obj = objective(p, u, v);
         if prev_obj.is_finite() && (prev_obj - obj).abs() <= tol * prev_obj.max(1e-12) {
             return Ok(sweep + 1);
@@ -410,103 +356,21 @@ pub(crate) fn init_factor(seed: u64, rows: usize, cols: usize, scale: f64, salt:
 mod tests {
     use super::*;
     use drcell_datasets::DataMatrix;
-    use proptest::prelude::*;
-
-    /// A problem tall enough (`m ≥ 2·PAR_ROWS_PER_WORKER`) that the pooled
-    /// half-sweeps actually fan out instead of taking the serial threshold
-    /// branch.
-    fn tall_problem(m: usize, n: usize, rank: usize, seed: u64) -> (AlsData, f64) {
-        let truth = DataMatrix::from_fn(m, n, |i, t| {
-            let s = (seed % 97) as f64 * 0.01;
-            2.0 + s
-                + (i as f64 * 0.013 + s).sin() * (t as f64 * 0.4).cos()
-                + 0.3 * (i as f64 * 0.029).cos()
-        });
-        let obs = ObservedMatrix::from_selection(&truth, |i, t| {
-            (i.wrapping_mul(31)
-                .wrapping_add(t.wrapping_mul(17))
-                .wrapping_add(seed as usize))
-                % 4
-                != 0
-        });
-        let data = AlsData::build(&obs, rank).expect("mask keeps observations");
-        let lambda = 0.05 * data.variance();
-        (data, lambda)
-    }
-
-    fn cold(data: &AlsData, seed: u64) -> (Matrix, Matrix) {
-        let scale = 1.0 / (data.r as f64).sqrt();
-        (
-            init_factor(seed, data.m, data.r, scale, 0xA5A5),
-            init_factor(seed, data.n, data.r, scale, 0x5A5A),
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(10))]
-
-        #[test]
-        fn pooled_sweep_u_is_bitwise_equal_to_serial(
-            m in 512usize..1100,
-            n in 6usize..14,
-            rank in 1usize..5,
-            seed in any::<u64>(),
-        ) {
-            let (data, lambda) = tall_problem(m, n, rank, seed);
-            let p = data.problem(lambda);
-            let (u0, v) = cold(&data, seed);
-
-            let mut u_serial = u0.clone();
-            let mut scratch = AlsScratch::new(data.r);
-            sweep_u(&p, &mut u_serial, &v, &Pool::serial(), &mut scratch).unwrap();
-
-            for threads in [2usize, 4] {
-                let mut u_pooled = u0.clone();
-                sweep_u(&p, &mut u_pooled, &v, &Pool::new(threads), &mut scratch).unwrap();
-                prop_assert_eq!(&u_pooled, &u_serial, "{} workers diverged", threads);
-            }
-        }
-
-        #[test]
-        fn pooled_full_sweeps_are_bitwise_equal_to_serial(
-            n in 512usize..900,
-            m in 6usize..14,
-            rank in 1usize..4,
-            seed in any::<u64>(),
-        ) {
-            // Wide problem: the V-half-sweep is the pooled one here.
-            let (data, lambda) = tall_problem(m, n, rank, seed);
-            let p = data.problem(lambda);
-            let run = |pool: Pool| {
-                let (mut u, mut v) = cold(&data, seed);
-                let mut scratch = AlsScratch::new(data.r);
-                run_sweeps(&p, &mut u, &mut v, 3, 0.0, f64::INFINITY, &pool, &mut scratch)
-                    .unwrap();
-                (u, v)
-            };
-            let serial = run(Pool::serial());
-            let pooled = run(Pool::new(4));
-            prop_assert_eq!(pooled, serial);
-        }
-    }
 
     #[test]
-    fn empty_rows_zeroed_identically_under_the_pool() {
-        // Rows with no observations must be zeroed by whichever worker owns
-        // them.
+    fn empty_rows_are_zeroed() {
+        // Rows with no observations shrink to zero (the global mean).
         let truth = DataMatrix::from_fn(600, 8, |i, t| (i + t) as f64 * 0.01 + 1.0);
         let obs = ObservedMatrix::from_selection(&truth, |i, t| i % 3 != 1 && (i + t) % 2 == 0);
         let data = AlsData::build(&obs, 3).unwrap();
         let p = data.problem(0.1);
-        let (u0, v) = cold(&data, 9);
-        let mut u_serial = u0.clone();
-        let mut scratch = AlsScratch::new(data.r);
-        sweep_u(&p, &mut u_serial, &v, &Pool::serial(), &mut scratch).unwrap();
-        let mut u_pooled = u0.clone();
-        sweep_u(&p, &mut u_pooled, &v, &Pool::new(4), &mut scratch).unwrap();
-        assert_eq!(u_pooled, u_serial);
-        for i in (1..600).step_by(3) {
-            assert!(u_serial.row(i).iter().all(|&x| x == 0.0));
+        let scale = 1.0 / (data.r as f64).sqrt();
+        let mut u = init_factor(9, data.m, data.r, scale, 0xA5A5);
+        let v = init_factor(9, data.n, data.r, scale, 0x5A5A);
+        sweep_u(&p, &mut u, &v, &mut AlsScratch::new(data.r)).unwrap();
+        for i in 0..600 {
+            let zeroed = u.row(i).iter().all(|&x| x == 0.0);
+            assert_eq!(zeroed, i % 3 == 1, "row {i}");
         }
     }
 }

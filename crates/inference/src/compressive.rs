@@ -2,7 +2,6 @@ use serde::{Deserialize, Serialize};
 
 use drcell_datasets::DataMatrix;
 use drcell_linalg::Matrix;
-use drcell_pool::Pool;
 
 use crate::als::{self, AlsData};
 use crate::{InferenceAlgorithm, InferenceError, ObservedMatrix};
@@ -67,11 +66,6 @@ impl Default for CompressiveSensingConfig {
 #[derive(Debug, Clone, Default)]
 pub struct CompressiveSensing {
     config: CompressiveSensingConfig,
-    /// Inner worker-pool size for the ALS half-sweeps: `0` = the process
-    /// budget share, `1` = strictly serial. Not part of the (serialisable)
-    /// configuration — thread counts are a runtime concern, and results are
-    /// bit-identical at any setting.
-    threads: usize,
 }
 
 impl CompressiveSensing {
@@ -100,7 +94,7 @@ impl CompressiveSensing {
                 expected: "> 0",
             });
         }
-        Ok(CompressiveSensing { config, threads: 0 })
+        Ok(CompressiveSensing { config })
     }
 
     /// Borrows the configuration.
@@ -108,30 +102,10 @@ impl CompressiveSensing {
         &self.config
     }
 
-    /// Sets the inner ALS worker-pool size (`0` = budget share, `1` =
-    /// serial) and returns `self` — builder form of
-    /// [`CompressiveSensing::set_threads`].
+    /// Ignored: returns `self` unchanged (kept for `e2ebench/`).
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// Sets the inner ALS worker-pool size (`0` = budget share, `1` =
-    /// serial). Completion results are bit-identical at any setting; only
-    /// throughput changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
-    /// The configured inner worker-pool size (`0` = budget share).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The inner pool the ALS sweeps run on.
-    pub(crate) fn pool(&self) -> Pool {
-        Pool::new(self.threads)
     }
 
     /// The effective per-observation ridge for a given signal variance
@@ -163,7 +137,6 @@ impl InferenceAlgorithm for CompressiveSensing {
             self.config.max_iters,
             self.config.tol,
             f64::INFINITY,
-            &self.pool(),
             &mut scratch,
         )?;
         let mean = data.mean;
@@ -272,26 +245,6 @@ mod tests {
             ..Default::default()
         })
         .is_err());
-    }
-
-    #[test]
-    fn explicit_thread_counts_complete_bit_identically() {
-        // Small problems stay under the sweep parallelism threshold, but
-        // the contract (bit-identical at any thread setting) must hold
-        // through the public surface regardless.
-        let truth = rank2_truth(10, 14);
-        let obs = ObservedMatrix::from_selection(&truth, |i, t| (i * 3 + t * 5) % 4 != 0);
-        let serial = CompressiveSensing::default()
-            .with_threads(1)
-            .complete(&obs)
-            .unwrap();
-        for threads in [0usize, 2, 4] {
-            let pooled = CompressiveSensing::default()
-                .with_threads(threads)
-                .complete(&obs)
-                .unwrap();
-            assert_eq!(pooled, serial, "threads = {threads}");
-        }
     }
 
     #[test]

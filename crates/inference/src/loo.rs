@@ -34,7 +34,6 @@
 
 use drcell_datasets::DataMatrix;
 use drcell_linalg::{backend, kernels, solve, Matrix};
-use drcell_pool::Pool;
 use serde::{Deserialize, Serialize};
 
 use crate::als::{self, AlsData, AlsScratch};
@@ -171,46 +170,12 @@ pub struct BatchedLooEngine {
     cs: CompressiveSensing,
     warm: Option<WarmFactors>,
     stats: EngineStats,
-    /// Worker-pool size for the per-cell leave-one-out fan-out (`0` = the
-    /// process budget share, `1` = serial). Predictions and cumulative
-    /// statistics are bit-identical at any setting.
-    threads: usize,
-}
-
-/// Per-worker state for the parallel leave-one-out fan-out: factor copies,
-/// normal-equation buffers and sweep counters, reused across every cell the
-/// worker claims.
-#[derive(Debug)]
-struct CellScratch {
-    u: Matrix,
-    v: Matrix,
-    als: AlsScratch,
-    v_tau: Vec<f64>,
-    loo_sweeps: usize,
-    loo_solves: usize,
-}
-
-impl CellScratch {
-    fn new(u0: &Matrix, v0: &Matrix, r: usize) -> CellScratch {
-        CellScratch {
-            u: u0.clone(),
-            v: v0.clone(),
-            als: AlsScratch::new(r),
-            v_tau: vec![0.0; r],
-            loo_sweeps: 0,
-            loo_solves: 0,
-        }
-    }
 }
 
 /// Cheap cumulative diagnostics of the engine's sweep economy.
 ///
-/// The per-cell counters (`loo_sweeps`, `loo_solves`) advance only when
-/// the whole fan-out succeeds: a failed call leaves them untouched rather
-/// than recording whichever cells happened to finish first (partial counts
-/// would depend on worker scheduling, and these counters are bit-identical
-/// at any thread count by contract). The base counters advance with each
-/// successful base solve as before.
+/// Every counter advances as its work completes, so a failed call keeps
+/// the counts of the solves that finished before the failure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Sweeps spent on base (nothing-left-out) solves.
@@ -236,29 +201,13 @@ impl BatchedLooEngine {
             cs: CompressiveSensing::new(config)?,
             warm: None,
             stats: EngineStats::default(),
-            threads: 0,
         })
     }
 
-    /// Sets the worker-pool size for the leave-one-out fan-out (`0` =
-    /// budget share, `1` = serial) and returns `self`.
+    /// Ignored: returns `self` unchanged (kept for `e2ebench/`).
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// Sets the worker-pool size for the leave-one-out fan-out (`0` =
-    /// budget share, `1` = serial). Results are bit-identical at any
-    /// setting; only throughput changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-        self.cs.set_threads(threads);
-    }
-
-    /// The configured worker-pool size (`0` = budget share).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Cumulative sweep diagnostics since construction.
@@ -311,7 +260,6 @@ impl BatchedLooEngine {
             cfg.max_iters,
             cfg.tol,
             prev_obj,
-            &Pool::new(self.threads),
             &mut scratch,
         )?;
         self.warm = Some(WarmFactors {
@@ -348,9 +296,7 @@ impl BatchedLooEngine {
     ///
     /// * [`InferenceError::NoObservations`] when fewer than two entries are
     ///   observed (a leave-one-out sub-problem would be empty).
-    /// * Propagates solver failures — for a failed fan-out, the error of
-    ///   the lowest-indexed failing cell, and [`BatchedLooEngine::stats`]
-    ///   is left untouched (see [`EngineStats`]).
+    /// * Propagates solver failures of the first failing cell.
     ///
     /// # Panics
     ///
@@ -403,166 +349,151 @@ impl BatchedLooEngine {
         // The base factor of the assessed cycle; constant across cells.
         let v_tau_base: Vec<f64> = v0.row(cycle).to_vec();
 
-        // Fan the independent left-out-cell evaluations across the pool.
-        // Each evaluation reads only the shared base state (factors,
-        // caches, observation lists) and writes its own output slot, so
-        // predictions are bit-identical at any worker count; the per-worker
-        // sweep counters are summed afterwards (order-free) so the engine
-        // statistics are too.
-        let cs = &self.cs;
-        let data_ref = &data;
-        let mut out = vec![0.0f64; cells.len()];
-        let scratches = Pool::new(self.threads).try_run_slots(
-            &mut out,
-            1,
-            || CellScratch::new(&u0, &v0, r),
-            |idx, slot, sc| -> Result<(), InferenceError> {
-                let cell = cells[idx];
-                let x = obs
-                    .get(cell, cycle)
-                    .expect("LOO cell must be observed at the cycle");
-                // Exactly downdated moments of the sub-problem without
-                // (cell, cycle): mean from the raw sum; variance from
-                // base-centred sums (numerically stable — the centred
-                // values are O(std)).
-                let mean1 = (data_ref.sum - x) / n1;
-                let c0 = x - data_ref.mean;
-                let csum1 = data_ref.centred_sum - c0;
-                let csq1 = data_ref.centred_sum_sq - c0 * c0;
-                let var1 = ((csq1 - csum1 * csum1 / n1) / n1).max(1e-12);
-                let lambda1 = cs.effective_lambda(var1);
-                let problem = data_ref.loo_problem(lambda1, mean1, cell, cycle);
+        // Each left-out-cell evaluation reads only the shared base state
+        // (factors, caches, observation lists) and restarts from the base
+        // factors, so one set of working buffers serves every cell.
+        let mut u = u0.clone();
+        let mut v = v0.clone();
+        let mut scratch = AlsScratch::new(r);
+        let mut v_tau = vec![0.0; r];
+        let mut out = Vec::with_capacity(cells.len());
+        for &cell in cells {
+            let x = obs
+                .get(cell, cycle)
+                .expect("LOO cell must be observed at the cycle");
+            // Exactly downdated moments of the sub-problem without
+            // (cell, cycle): mean from the raw sum; variance from
+            // base-centred sums (numerically stable — the centred
+            // values are O(std)).
+            let mean1 = (data.sum - x) / n1;
+            let c0 = x - data.mean;
+            let csum1 = data.centred_sum - c0;
+            let csq1 = data.centred_sum_sq - c0 * c0;
+            let var1 = ((csq1 - csum1 * csum1 / n1) / n1).max(1e-12);
+            let lambda1 = self.cs.effective_lambda(var1);
+            let problem = data.loo_problem(lambda1, mean1, cell, cycle);
 
-                sc.u.as_mut_slice().copy_from_slice(u0.as_slice());
-                sc.v.as_mut_slice().copy_from_slice(v0.as_slice());
+            u.as_mut_slice().copy_from_slice(u0.as_slice());
+            v.as_mut_slice().copy_from_slice(v0.as_slice());
 
-                // Local pre-solve. In the leave-one-out problem the hidden
-                // entry was the only interaction between `u[cell]` and
-                // `v[cycle]`: row `cell`'s system no longer involves
-                // `v[cycle]` and column `cycle`'s system no longer involves
-                // `u[cell]`, so both can be solved exactly against the
-                // otherwise-unchanged base factors. This jumps straight
-                // over the slow global transient the removal would
-                // otherwise trigger — the factor the removal touches most
-                // is re-solved before any full sweep.
-                //
-                // `u[cell]` comes from the cached base Gram via a rank-1
-                // downdate (subtract the left-out cycle's factor outer
-                // product) plus the exact mean-shift of the right-hand
-                // side.
-                if problem.row_len(cell) == 0 {
-                    sc.u.row_mut(cell).fill(0.0);
-                } else {
-                    sc.als
-                        .gram
-                        .as_mut_slice()
-                        .copy_from_slice(gram0[cell].as_slice());
-                    kernels::downdate_rank1(
+            // Local pre-solve. In the leave-one-out problem the hidden
+            // entry was the only interaction between `u[cell]` and
+            // `v[cycle]`: row `cell`'s system no longer involves
+            // `v[cycle]` and column `cycle`'s system no longer involves
+            // `u[cell]`, so both can be solved exactly against the
+            // otherwise-unchanged base factors. This jumps straight
+            // over the slow global transient the removal would
+            // otherwise trigger — the factor the removal touches most
+            // is re-solved before any full sweep.
+            //
+            // `u[cell]` comes from the cached base Gram via a rank-1
+            // downdate (subtract the left-out cycle's factor outer
+            // product) plus the exact mean-shift of the right-hand
+            // side.
+            if problem.row_len(cell) == 0 {
+                u.row_mut(cell).fill(0.0);
+            } else {
+                scratch
+                    .gram
+                    .as_mut_slice()
+                    .copy_from_slice(gram0[cell].as_slice());
+                kernels::downdate_rank1(
+                    kind,
+                    scratch.gram.as_mut_slice(),
+                    &mut scratch.rhs,
+                    &rhs_raw[cell],
+                    &vsum[cell],
+                    x,
+                    mean1,
+                    &v_tau_base,
+                );
+                let ridge = lambda1 * problem.row_len(cell) as f64;
+                for a in 0..r {
+                    scratch.gram[(a, a)] += ridge;
+                }
+                solve::solve_spd_in_place(&mut scratch.gram, &mut scratch.rhs)?;
+                u.row_mut(cell).copy_from_slice(&scratch.rhs);
+            }
+            // `v[cycle]`: a standard column solve; its system skips row
+            // `cell` (the leave-out), and every row it does use is
+            // still at the base factors.
+            als::solve_v_row(&problem, &u, &mut v, cycle, &mut scratch)?;
+            let obj0 = als::objective(&problem, &u, &v);
+
+            // Full sweep 1: cached U-half. The caches were built
+            // against the base V; `v[cycle]` has moved, so rows
+            // observed at the cycle get an exact rank-2 cache
+            // correction (out with the base factor's outer product, in
+            // with the refined one) — no row is re-scanned. Row `cell`
+            // is skipped outright: the refined `v[cycle]` never enters
+            // its (leave-out) system, so the local pre-solve above
+            // already holds this sweep's exact solution.
+            v_tau.copy_from_slice(v.row(cycle));
+            for i in 0..data.m {
+                if i == cell {
+                    continue;
+                }
+                let n_eff = problem.row_len(i);
+                if n_eff == 0 {
+                    u.row_mut(i).fill(0.0);
+                    continue;
+                }
+                scratch
+                    .gram
+                    .as_mut_slice()
+                    .copy_from_slice(gram0[i].as_slice());
+                if obs.is_observed(i, cycle) {
+                    let xi = obs.get(i, cycle).expect("mask checked");
+                    kernels::correct_rank2(
                         kind,
-                        sc.als.gram.as_mut_slice(),
-                        &mut sc.als.rhs,
-                        &rhs_raw[cell],
-                        &vsum[cell],
-                        x,
+                        scratch.gram.as_mut_slice(),
+                        &mut scratch.rhs,
+                        &rhs_raw[i],
+                        &vsum[i],
+                        xi,
                         mean1,
                         &v_tau_base,
+                        &v_tau,
                     );
-                    let ridge = lambda1 * problem.row_len(cell) as f64;
+                } else {
                     for a in 0..r {
-                        sc.als.gram[(a, a)] += ridge;
+                        scratch.rhs[a] = rhs_raw[i][a] - mean1 * vsum[i][a];
                     }
-                    solve::solve_spd_in_place(&mut sc.als.gram, &mut sc.als.rhs)?;
-                    sc.u.row_mut(cell).copy_from_slice(&sc.als.rhs);
                 }
-                // `v[cycle]`: a standard column solve; its system skips row
-                // `cell` (the leave-out), and every row it does use is
-                // still at the base factors.
-                als::solve_v_row(&problem, &sc.u, &mut sc.v, cycle, &mut sc.als)?;
-                let obj0 = als::objective(&problem, &sc.u, &sc.v);
+                let ridge = lambda1 * n_eff as f64;
+                for a in 0..r {
+                    scratch.gram[(a, a)] += ridge;
+                }
+                solve::solve_spd_in_place(&mut scratch.gram, &mut scratch.rhs)?;
+                u.row_mut(i).copy_from_slice(&scratch.rhs);
+            }
+            // Full sweep 1, V-half, then the shared early-stop rule;
+            // further sweeps (rare after the local pre-solve) run the
+            // standard loop.
+            als::sweep_v(&problem, &u, &mut v, &mut scratch)?;
+            let obj1 = als::objective(&problem, &u, &v);
+            self.stats.loo_sweeps += 1;
+            self.stats.loo_solves += 1;
+            let converged = obj0.is_finite() && (obj0 - obj1).abs() <= cfg.tol * obj0.max(1e-12);
+            if !converged && cfg.max_iters > 1 {
+                self.stats.loo_sweeps += als::run_sweeps(
+                    &problem,
+                    &mut u,
+                    &mut v,
+                    cfg.max_iters - 1,
+                    cfg.tol,
+                    obj1,
+                    &mut scratch,
+                )?;
+            }
 
-                // Full sweep 1: cached U-half. The caches were built
-                // against the base V; `v[cycle]` has moved, so rows
-                // observed at the cycle get an exact rank-2 cache
-                // correction (out with the base factor's outer product, in
-                // with the refined one) — no row is re-scanned. Row `cell`
-                // is skipped outright: the refined `v[cycle]` never enters
-                // its (leave-out) system, so the local pre-solve above
-                // already holds this sweep's exact solution.
-                sc.v_tau.copy_from_slice(sc.v.row(cycle));
-                for i in 0..data_ref.m {
-                    if i == cell {
-                        continue;
-                    }
-                    let n_eff = problem.row_len(i);
-                    if n_eff == 0 {
-                        sc.u.row_mut(i).fill(0.0);
-                        continue;
-                    }
-                    sc.als
-                        .gram
-                        .as_mut_slice()
-                        .copy_from_slice(gram0[i].as_slice());
-                    if obs.is_observed(i, cycle) {
-                        let xi = obs.get(i, cycle).expect("mask checked");
-                        kernels::correct_rank2(
-                            kind,
-                            sc.als.gram.as_mut_slice(),
-                            &mut sc.als.rhs,
-                            &rhs_raw[i],
-                            &vsum[i],
-                            xi,
-                            mean1,
-                            &v_tau_base,
-                            &sc.v_tau,
-                        );
-                    } else {
-                        for a in 0..r {
-                            sc.als.rhs[a] = rhs_raw[i][a] - mean1 * vsum[i][a];
-                        }
-                    }
-                    let ridge = lambda1 * n_eff as f64;
-                    for a in 0..r {
-                        sc.als.gram[(a, a)] += ridge;
-                    }
-                    solve::solve_spd_in_place(&mut sc.als.gram, &mut sc.als.rhs)?;
-                    sc.u.row_mut(i).copy_from_slice(&sc.als.rhs);
-                }
-                // Full sweep 1, V-half, then the shared early-stop rule;
-                // further sweeps (rare after the local pre-solve) run the
-                // standard loop. The inner sweeps stay serial: the cell
-                // fan-out above already owns the pool's workers.
-                als::sweep_v(&problem, &sc.u, &mut sc.v, &Pool::serial(), &mut sc.als)?;
-                let obj1 = als::objective(&problem, &sc.u, &sc.v);
-                sc.loo_sweeps += 1;
-                sc.loo_solves += 1;
-                let converged =
-                    obj0.is_finite() && (obj0 - obj1).abs() <= cfg.tol * obj0.max(1e-12);
-                if !converged && cfg.max_iters > 1 {
-                    sc.loo_sweeps += als::run_sweeps(
-                        &problem,
-                        &mut sc.u,
-                        &mut sc.v,
-                        cfg.max_iters - 1,
-                        cfg.tol,
-                        obj1,
-                        &Pool::serial(),
-                        &mut sc.als,
-                    )?;
-                }
-
-                let pred: f64 =
-                    sc.u.row(cell)
-                        .iter()
-                        .zip(sc.v.row(cycle))
-                        .map(|(a, b)| a * b)
-                        .sum();
-                slot[0] = mean1 + pred;
-                Ok(())
-            },
-        )?;
-        for sc in scratches {
-            self.stats.loo_sweeps += sc.loo_sweeps;
-            self.stats.loo_solves += sc.loo_solves;
+            let pred: f64 = u
+                .row(cell)
+                .iter()
+                .zip(v.row(cycle))
+                .map(|(a, b)| a * b)
+                .sum();
+            out.push(mean1 + pred);
         }
         Ok(out)
     }
@@ -631,27 +562,50 @@ mod tests {
     }
 
     #[test]
-    fn predictions_and_stats_bit_identical_at_any_thread_count() {
+    fn serial_predictions_and_stats_are_pinned() {
+        // Literals captured from the fixture; any change to the per-cell
+        // arithmetic or to how the sweep counters accumulate shows here.
         let obs = smooth_obs(9, 11);
         let cycle = 10;
         let sensed = obs.observed_cells_at(cycle);
-        assert!(sensed.len() >= 4, "fixture needs a real fan-out");
-        let run = |threads: usize| {
-            let mut engine = BatchedLooEngine::new(tight())
-                .unwrap()
-                .with_threads(threads);
-            let first = engine.loo_predictions(&obs, cycle, &sensed).unwrap();
-            // A warm second call exercises the warm-start path too.
-            let second = engine.loo_predictions(&obs, cycle, &sensed).unwrap();
-            (first, second, engine.stats())
-        };
-        let serial = run(1);
-        for threads in [0usize, 2, 4] {
-            let pooled = run(threads);
-            assert_eq!(pooled.0, serial.0, "cold predictions, threads {threads}");
-            assert_eq!(pooled.1, serial.1, "warm predictions, threads {threads}");
-            assert_eq!(pooled.2, serial.2, "engine stats, threads {threads}");
-        }
+        assert_eq!(sensed, [0, 1, 3, 4, 5, 7, 8]);
+        let mut engine = BatchedLooEngine::new(tight()).unwrap();
+        let bits = |preds: Vec<f64>| preds.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let cold = bits(engine.loo_predictions(&obs, cycle, &sensed).unwrap());
+        let warm = bits(engine.loo_predictions(&obs, cycle, &sensed).unwrap());
+        assert_eq!(
+            cold,
+            [
+                0x4009916603b0cbf0,
+                0x40062376c4d541b9,
+                0x3fffbfbb56caa42b,
+                0x3ffd5743dc9d08d0,
+                0x3ffed0c46d0ad157,
+                0x4005a85a8b3b0105,
+                0x4009aec8040a19eb,
+            ]
+        );
+        assert_eq!(
+            warm,
+            [
+                0x4009916603b0cbf1,
+                0x40062376c4d541b8,
+                0x3fffbfbb56caa430,
+                0x3ffd5743dc9d08d5,
+                0x3ffed0c46d0ad156,
+                0x4005a85a8b3b0105,
+                0x4009aec8040a19ea,
+            ]
+        );
+        assert_eq!(
+            engine.stats(),
+            EngineStats {
+                base_sweeps: 1489,
+                loo_sweeps: 16297,
+                loo_solves: 14,
+                warm_starts: 1,
+            }
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! values, zeros (including signs) and infinities are bit-exact. Emitted
 //! result rows therefore never depend on the backend, cache keys stay
 //! backend-independent, and a backend switch is purely an execution
-//! detail (ARCHITECTURE.md invariant 9).
+//! detail (ARCHITECTURE.md invariant 8).
 //!
 //! # Selection
 //!

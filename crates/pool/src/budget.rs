@@ -1,144 +1,29 @@
-//! Process-wide thread-budget coordination.
-//!
-//! Two layers of parallelism coexist in the workspace: the scenario
-//! [`SweepEngine`] fans out across scenarios, and the inner [`Pool`]s fan
-//! out inside one scenario (ALS sweeps, leave-one-out cells, GEMM blocks).
-//! Left uncoordinated they would multiply — `outer × inner` threads on
-//! `budget` cores — and oversubscription would erase both speedups.
-//!
-//! The contract here is simple: there is one process-wide budget
-//! (defaulting to the hardware), outer engines **reserve** their worker
-//! count for the duration of a sweep, and every auto-sized inner pool
-//! resolves to the remainder (`budget / outer`, at least 1). So a sweep on
-//! 8 cores with 8 scenario workers runs every inner pool serially, a
-//! single-scenario run gets all 8 cores inside the assessment loop, and
-//! `outer × inner ≤ budget` always holds for auto-sized pools. Explicitly
-//! sized pools (`Pool::new(n)`, `n ≥ 1`) bypass the budget — that is the
-//! escape hatch sharded runs use to partition a machine by hand.
-//!
-//! [`SweepEngine`]: https://docs.rs/drcell-scenario
-//! [`Pool`]: crate::Pool
+//! Thread-count helpers at their historical path.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Total budget in threads; `0` = one per hardware thread.
-static BUDGET: AtomicUsize = AtomicUsize::new(0);
-
-/// Product of all currently reserved outer worker counts (≥ 1).
-static OUTER: AtomicUsize = AtomicUsize::new(1);
-
-/// Hardware parallelism — the single source of truth for "how many threads
-/// does this machine have" across the workspace (engines must not carry
-/// their own `available_parallelism` fallback logic).
+/// Hardware parallelism (at least 1) — the single source of truth for "how
+/// many threads does this machine have" across the workspace (engines must
+/// not carry their own `available_parallelism` fallback logic).
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// Overrides the process thread budget (`0` restores the hardware default).
-pub fn set_total_budget(threads: usize) {
-    BUDGET.store(threads, Ordering::Relaxed);
-}
-
-/// The effective total budget: the override, or the hardware.
-pub fn total_budget() -> usize {
-    match BUDGET.load(Ordering::Relaxed) {
-        0 => hardware_threads(),
-        n => n,
-    }
-}
-
-/// The product of currently reserved outer worker counts (1 when no outer
-/// engine is running).
-pub fn outer_claim() -> usize {
-    OUTER.load(Ordering::Relaxed).max(1)
-}
-
-/// The thread share an auto-sized inner pool resolves to right now:
-/// `total_budget / outer_claim`, at least 1.
-pub fn inner_share() -> usize {
-    (total_budget() / outer_claim()).max(1)
-}
-
-/// RAII reservation of outer-level parallelism: while alive, auto-sized
-/// inner pools divide the budget by `workers`. Reservations nest
-/// multiplicatively (a sweep inside a sweep divides twice).
+/// The guard [`reserve_outer`] returns; it holds nothing.
 #[derive(Debug)]
-pub struct OuterReservation {
-    workers: usize,
-}
+pub struct OuterReservation;
 
-/// Reserves `workers` outer workers until the returned guard is dropped.
-pub fn reserve_outer(workers: usize) -> OuterReservation {
-    let w = workers.max(1);
-    let _ = OUTER.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |o| {
-        Some(o.max(1).saturating_mul(w))
-    });
-    OuterReservation { workers: w }
-}
-
-impl Drop for OuterReservation {
-    fn drop(&mut self) {
-        let w = self.workers;
-        let _ = OUTER.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |o| {
-            Some((o / w).max(1))
-        });
-    }
+/// Does nothing and returns an inert guard (kept for `e2ebench/`).
+pub fn reserve_outer(_workers: usize) -> OuterReservation {
+    OuterReservation
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The budget statics are process-global; tests that touch them take
-    /// this lock so the crate's parallel test runner cannot interleave them.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn hardware_is_at_least_one() {
         assert!(hardware_threads() >= 1);
-    }
-
-    #[test]
-    fn budget_override_and_restore() {
-        let _guard = LOCK.lock().unwrap();
-        set_total_budget(12);
-        assert_eq!(total_budget(), 12);
-        set_total_budget(0);
-        assert_eq!(total_budget(), hardware_threads());
-    }
-
-    #[test]
-    fn reservation_divides_the_share_and_restores_on_drop() {
-        let _guard = LOCK.lock().unwrap();
-        set_total_budget(8);
-        assert_eq!(inner_share(), 8);
-        {
-            let _outer = reserve_outer(4);
-            assert_eq!(outer_claim(), 4);
-            assert_eq!(inner_share(), 2);
-            {
-                // Nested reservations multiply.
-                let _inner = reserve_outer(2);
-                assert_eq!(outer_claim(), 8);
-                assert_eq!(inner_share(), 1);
-            }
-            assert_eq!(outer_claim(), 4);
-        }
-        assert_eq!(outer_claim(), 1);
-        assert_eq!(inner_share(), 8);
-        set_total_budget(0);
-    }
-
-    #[test]
-    fn share_never_hits_zero() {
-        let _guard = LOCK.lock().unwrap();
-        set_total_budget(2);
-        let _outer = reserve_outer(64);
-        assert_eq!(inner_share(), 1);
-        drop(_outer);
-        set_total_budget(0);
     }
 }

@@ -18,10 +18,9 @@
 //!    erased (map lookups are order-independent, serialisation emits
 //!    struct order).
 //! 2. **Execution-only fields are normalised out.** `runner.inner_threads`
-//!    sizes the intra-scenario worker pool and — by the workspace's pinned
-//!    bit-identical-parallelism invariant — never changes one byte of the
-//!    result rows. It canonicalises to `null`, so the same scenario run
-//!    serial or on eight inner threads shares one cache entry.
+//!    is parsed and ignored, so it never changes one byte of the result
+//!    rows. It canonicalises to `null`, so older specs that still set it
+//!    keep sharing one cache entry with specs that do not.
 //! 3. **Map keys sort.** Every map in the tree is sorted by key. The typed
 //!    serialiser already emits a fixed order, so this is defence in depth:
 //!    the canonical bytes stay stable even if struct fields are reordered
@@ -58,10 +57,10 @@ fn sort_maps(value: &mut Value) {
 }
 
 /// Normalises the execution-only runner fields: `runner.inner_threads`
-/// (worker-pool sizing) becomes `null` and `runner.compute` (the compute
-/// backend) becomes `"auto"`. Both are pinned bit-identical-output knobs
-/// — any pool size and any backend emit the same bytes — so the same
-/// scenario run serial/pooled, scalar/SIMD shares one cache entry.
+/// (ignored) becomes `null` and `runner.compute` (the compute backend)
+/// becomes `"auto"`. Neither changes the emitted bytes, so the same
+/// scenario run scalar or SIMD, with or without the old field, shares one
+/// cache entry.
 fn erase_execution_fields(value: &mut Value) {
     if let Value::Map(entries) = value {
         if let Some((_, Value::Map(runner_entries))) =

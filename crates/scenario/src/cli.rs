@@ -36,9 +36,6 @@ pub struct Options {
     pub seed: Option<u64>,
     /// Worker threads (0 = all cores).
     pub threads: usize,
-    /// Per-scenario inner worker-pool size override (`None` = keep the
-    /// spec's setting; scenarios then default to their budget share).
-    pub inner_threads: Option<usize>,
     /// Compute-backend override (`None` = keep the spec's setting, which
     /// defaults to auto-detection honouring `DRCELL_BACKEND`).
     pub backend: Option<BackendChoice>,
@@ -80,12 +77,6 @@ impl Options {
                     opts.threads = v.parse().map_err(|_| {
                         ScenarioError::Invalid(format!("bad --threads value `{v}`"))
                     })?;
-                }
-                "--inner-threads" => {
-                    let v = take("an integer")?;
-                    opts.inner_threads = Some(v.parse().map_err(|_| {
-                        ScenarioError::Invalid(format!("bad --inner-threads value `{v}`"))
-                    })?);
                 }
                 "--backend" => {
                     let v = take("auto|scalar|simd")?;
@@ -234,9 +225,6 @@ pub fn cmd_run(opts: &Options) -> Result<(), ScenarioError> {
     if let Some(seed) = opts.seed {
         spec.seed = seed;
     }
-    if opts.inner_threads.is_some() {
-        spec.runner.inner_threads = opts.inner_threads;
-    }
     if let Some(b) = opts.backend {
         spec.runner.compute = b;
     }
@@ -255,9 +243,6 @@ pub fn cmd_sweep(opts: &Options) -> Result<(), ScenarioError> {
     };
     if let Some(seed) = opts.seed {
         sweep.base.seed = seed;
-    }
-    if opts.inner_threads.is_some() {
-        sweep.inner_threads = opts.inner_threads;
     }
     let mut specs = sweep.expand();
     if let Some(b) = opts.backend {
@@ -307,19 +292,16 @@ pub fn usage() -> String {
      USAGE:\n\
        drcell-scenario list\n\
        drcell-scenario run   --name <scenario> | --spec file.{toml,json}\n\
-                             [--seed N] [--threads N] [--inner-threads N]\n\
-                             [--backend auto|scalar|simd]\n\
+                             [--seed N] [--threads N] [--backend auto|scalar|simd]\n\
                              [--jsonl out] [--csv out]\n\
        drcell-scenario sweep [--spec file.{toml,json}] [--seed N] [--threads N]\n\
-                             [--inner-threads N] [--backend auto|scalar|simd]\n\
+                             [--backend auto|scalar|simd]\n\
                              [--jsonl out] [--csv out] [--summary out]\n\
      \n\
-     --threads N parallelises across scenarios; --inner-threads N sizes the\n\
-     worker pool inside each scenario (assessment fan-out, ALS sweeps).\n\
-     Unset, the inner pools take the remaining thread-budget share, so\n\
-     outer x inner never oversubscribes. --backend picks the compute\n\
+     --threads N runs N scenarios at a time (0 = one per hardware thread);\n\
+     each scenario runs single-threaded. --backend picks the compute\n\
      kernels (auto detects SIMD; DRCELL_BACKEND=scalar|simd also works).\n\
-     Results are byte-identical at any combination of all three knobs.\n\
+     Results are byte-identical at any combination of both knobs.\n\
      \n\
      Without --spec, `sweep` runs the built-in 8-scenario default grid.\n\
      For long-running serving (stream rows over a socket), see the\n\

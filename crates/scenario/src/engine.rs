@@ -1,6 +1,11 @@
 //! The parallel sweep engine: executes a scenario matrix on a worker thread
 //! pool (`std::thread` + atomics, no external dependencies).
 //!
+//! This is one of the two places the workspace spawns threads (the other is
+//! the `drcell-serve` daemon's job workers): each scenario runs start to
+//! finish on one worker, single-threaded, so whole scenarios are the unit
+//! of parallelism.
+//!
 //! Determinism: every scenario is self-seeded (see
 //! [`crate::exec::run_scenario`]), so results do not depend on which worker
 //! executes which scenario or in what order; the engine additionally returns
@@ -53,15 +58,11 @@ impl SweepEngine {
 
     /// The worker count the engine will actually use for `jobs` scenarios.
     ///
-    /// `0` auto-sizes from [`drcell_pool::budget::total_budget`] — by
-    /// default one worker per hardware thread (the budget coordinator and
-    /// this engine share `drcell_pool::hardware_threads` as the single
-    /// source of truth), but a process confined with
-    /// [`drcell_pool::budget::set_total_budget`] keeps its outer sweeps
-    /// inside the budget too, preserving `outer × inner ≤ budget`.
+    /// `0` auto-sizes to one worker per hardware thread
+    /// ([`drcell_pool::hardware_threads`]).
     pub fn effective_threads(&self, jobs: usize) -> usize {
         let requested = if self.threads == 0 {
-            drcell_pool::budget::total_budget()
+            drcell_pool::hardware_threads()
         } else {
             self.threads
         };
@@ -89,11 +90,6 @@ impl SweepEngine {
             return Vec::new();
         }
         let workers = self.effective_threads(specs.len());
-        // Reserve the outer parallelism for the duration of the sweep so
-        // auto-sized inner pools (assessment fan-out, ALS sweeps) resolve
-        // to the remaining budget share and `outer × inner` never
-        // oversubscribes the machine.
-        let _budget = drcell_pool::budget::reserve_outer(workers);
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<Result<ScenarioResult, ScenarioError>>>> =
             Mutex::new((0..specs.len()).map(|_| None).collect());
@@ -240,14 +236,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_worker_count_respects_a_lowered_process_budget() {
-        // `outer × inner ≤ budget` must hold for the outer engine too: a
-        // confined process may not auto-size past its budget. (Test-local
-        // budget mutation; the explicit-threads path above is unaffected.)
-        drcell_pool::budget::set_total_budget(2);
-        let auto = SweepEngine::new(0).effective_threads(100);
-        drcell_pool::budget::set_total_budget(0);
-        assert_eq!(auto, 2);
+    fn auto_worker_count_is_the_hardware_thread_count() {
+        let hw = drcell_pool::hardware_threads();
+        assert_eq!(SweepEngine::new(0).effective_threads(1000), hw.min(1000));
         assert_eq!(SweepEngine::new(5).effective_threads(100), 5);
     }
 }

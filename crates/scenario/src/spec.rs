@@ -320,7 +320,6 @@ impl PolicySpec {
                         reward_bonus,
                         cost,
                         window: runner.window,
-                        inner_threads: runner.inner_threads.unwrap_or(0),
                         ..McsEnvConfig::default()
                     },
                     ..TrainerConfig::default()
@@ -394,16 +393,12 @@ pub struct RunnerSpec {
     /// absent in a spec file means the default, so pre-existing specs keep
     /// parsing).
     pub backend: AssessmentBackend,
-    /// Worker-pool size for the intra-scenario parallelism (assessment
-    /// fan-out, ALS sweeps): `None`/absent = the scenario's share of the
-    /// process thread budget, `Some(1)` = strictly serial. Results are
-    /// bit-identical at any setting, so pre-existing specs keep both
-    /// parsing and reproducing.
+    /// Parsed and ignored (kept for `e2ebench/` and older spec files).
     pub inner_threads: Option<usize>,
     /// Compute backend for the dense kernels (`auto`/`scalar`/`simd`;
-    /// absent = `auto`). Execution-only like `inner_threads`: every
-    /// backend emits bit-identical rows, so the canonical form erases it
-    /// and cache keys never depend on it.
+    /// absent = `auto`). Execution-only: every backend emits
+    /// bit-identical rows, so the canonical form erases it and cache keys
+    /// never depend on it.
     pub compute: BackendChoice,
 }
 
@@ -430,7 +425,6 @@ impl RunnerSpec {
             max_selections_per_cycle: self.max_selections,
             assess_every: self.assess_every,
             assessment_backend: self.backend,
-            inner_threads: self.inner_threads.unwrap_or(0),
             compute_backend: self.compute,
             ..RunnerConfig::default()
         }
@@ -516,10 +510,7 @@ pub struct SweepSpec {
     pub seeds: Vec<u64>,
     /// Perturbation-stack axis.
     pub perturbations: Vec<PerturbationStack>,
-    /// Sweep-wide override of every scenario's inner worker-pool size
-    /// (`None`/absent = keep each scenario's own setting). Lets sharded
-    /// runs partition the thread budget explicitly — e.g. two processes on
-    /// one 8-core host each running `--threads 2 --inner-threads 2`.
+    /// Parsed and ignored (kept for `e2ebench/` and older spec files).
     pub inner_threads: Option<usize>,
 }
 
@@ -629,9 +620,6 @@ impl SweepSpec {
                             if let Some(seed) = seed {
                                 spec.seed = *seed;
                                 name.push_str(&format!("/s{seed}"));
-                            }
-                            if self.inner_threads.is_some() {
-                                spec.runner.inner_threads = self.inner_threads;
                             }
                             spec.name = name;
                             out.push(spec);

@@ -5,9 +5,12 @@
 //! `[[arrays.of.tables]]`, strings, integers, floats, booleans, arrays and
 //! inline tables (`{ k = v, ... }`), plus `#` comments. Unsupported TOML
 //! (dates, multi-line strings, dotted keys in assignments) is rejected with
-//! a line-numbered error.
+//! a line-numbered error, and so is array/inline-table nesting deeper than
+//! [`MAX_DEPTH`].
 
 use serde::{Error, Value};
+
+use crate::json::MAX_DEPTH;
 
 /// Parses a TOML-subset document into a map [`Value`].
 ///
@@ -46,7 +49,7 @@ pub fn parse_toml(input: &str) -> Result<Value, Error> {
                 return Err(at("expected a plain (undotted) key"));
             }
             let key = key.trim_matches('"').to_owned();
-            let (value, rest) = parse_value(line[eq + 1..].trim()).map_err(|e| at(&e))?;
+            let (value, rest) = parse_value(line[eq + 1..].trim(), 0).map_err(|e| at(&e))?;
             if !rest.trim().is_empty() {
                 return Err(at(&format!("trailing characters `{rest}`")));
             }
@@ -151,8 +154,13 @@ fn push_array_table(root: &mut Value, path: &[String]) -> Result<(), String> {
 }
 
 /// Parses one value from the front of `input`, returning the rest.
-fn parse_value(input: &str) -> Result<(Value, &str), String> {
+/// `depth` counts the arrays and inline tables enclosing the value; one
+/// more than [`MAX_DEPTH`] is an error, not a stack overflow.
+fn parse_value(input: &str, depth: usize) -> Result<(Value, &str), String> {
     let input = input.trim_start();
+    if input.starts_with(['[', '{']) && depth == MAX_DEPTH {
+        return Err(format!("value nests deeper than {MAX_DEPTH} levels"));
+    }
     if let Some(rest) = input.strip_prefix('"') {
         let mut s = String::new();
         let mut chars = rest.char_indices();
@@ -177,7 +185,7 @@ fn parse_value(input: &str) -> Result<(Value, &str), String> {
             return Ok((Value::Seq(items), r));
         }
         loop {
-            let (v, r) = parse_value(rest)?;
+            let (v, r) = parse_value(rest, depth + 1)?;
             items.push(v);
             rest = r.trim_start();
             if let Some(r) = rest.strip_prefix(',') {
@@ -203,7 +211,7 @@ fn parse_value(input: &str) -> Result<(Value, &str), String> {
                 .find('=')
                 .ok_or_else(|| format!("expected `key = value` in inline table near `{rest}`"))?;
             let key = rest[..eq].trim().trim_matches('"').to_owned();
-            let (v, r) = parse_value(rest[eq + 1..].trim_start())?;
+            let (v, r) = parse_value(rest[eq + 1..].trim_start(), depth + 1)?;
             entries.push((key, v));
             rest = r.trim_start();
             if let Some(r) = rest.strip_prefix(',') {
@@ -333,5 +341,14 @@ MissingCycleBursts = { bursts = 2, burst_len = 3 }
         assert!(parse_toml("just a line").is_err());
         assert!(parse_toml("k = \"open").is_err());
         assert!(parse_toml("k = 1\nk = 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("name = {}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_toml(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_toml(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse_toml(&format!("name = {}", "[".repeat(100_000))).is_err());
+        assert!(parse_toml(&format!("name = {}", "{a = ".repeat(100_000))).is_err());
     }
 }

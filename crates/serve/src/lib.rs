@@ -18,11 +18,9 @@
 //!   byte-identical to the CLI's, for any worker count and any number of
 //!   concurrent jobs. CI enforces this with a live smoke test, and
 //!   `tests/serve_determinism.rs` pins it in-tree.
-//! * **Budget sharing.** The daemon holds a
-//!   [`drcell_pool::budget::reserve_outer`] reservation sized to its
-//!   worker count for its whole lifetime, so `N` concurrent jobs each run
-//!   their inner pools (assessment fan-out, ALS sweeps, GEMM blocks) on
-//!   `budget / N` threads — never oversubscribing, exactly like a sweep.
+//! * **One thread per job.** A scenario is single-threaded, so `N` job
+//!   workers keep at most `N` cores busy, exactly like an `N`-thread
+//!   sweep.
 //! * **Isolation.** A failing scenario fails only itself; a cancelled or
 //!   disconnected client kills only its own job (at the next cycle
 //!   boundary, via the sticky cancel flag in the [`job`] table); malformed

@@ -1,18 +1,15 @@
 //! The daemon: TCP accept loop, per-connection protocol handling, and the
 //! worker pool that executes jobs against the scenario engine.
 //!
-//! # Scheduling and the thread budget
+//! # Scheduling
 //!
 //! The server owns `workers` job-runner threads; each runs one job at a
 //! time, and a job's scenarios execute **sequentially in matrix order** on
 //! its worker (concurrency comes from running multiple jobs side by side,
 //! which is what keeps every job's row stream in deterministic order).
-//! For its whole lifetime the server holds a
-//! [`drcell_pool::budget::reserve_outer`] reservation of `workers`, so
-//! every auto-sized inner pool (assessment fan-out, ALS sweeps, GEMM
-//! blocks) resolves to `budget / workers` and
-//! `workers × inner ≤ budget` — concurrent jobs never oversubscribe the
-//! machine, exactly like a `SweepEngine` sweep.
+//! A scenario is single-threaded, so `workers` job threads use at most
+//! `workers` cores for compute — like a `SweepEngine` sweep with
+//! `workers` threads.
 //!
 //! # Determinism
 //!
@@ -132,7 +129,7 @@ impl Shared {
 /// (64 MiB), no disk spill, no journal, no admission bounds.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Job-runner threads (`0` = the process thread budget).
+    /// Job-runner threads (`0` = one per hardware thread).
     pub workers: usize,
     /// Result-cache memory budget in bytes (`0` = nothing kept in
     /// memory).
@@ -200,8 +197,8 @@ pub struct Server {
 
 impl Server {
     /// Binds the daemon to `addr` with `workers` job-runner threads
-    /// (`0` = the process thread budget,
-    /// [`drcell_pool::budget::total_budget`]) and the default
+    /// (`0` = one per hardware thread,
+    /// [`drcell_pool::hardware_threads`]) and the default
     /// [`ServeConfig`] otherwise. Port `0` picks an ephemeral port — read
     /// it back with [`Server::local_addr`].
     ///
@@ -227,7 +224,7 @@ impl Server {
     pub fn bind_with<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let workers = if config.workers == 0 {
-            drcell_pool::budget::total_budget()
+            drcell_pool::hardware_threads()
         } else {
             config.workers
         }
@@ -281,10 +278,6 @@ impl Server {
             max_queue_age_ms: self.config.max_queue_age_secs.saturating_mul(1_000),
         };
         let addr = self.listener.local_addr()?;
-        // Outer reservation for the server's lifetime: auto-sized inner
-        // pools under every job resolve to budget / workers, so concurrent
-        // jobs share the machine instead of multiplying on it.
-        let _budget = drcell_pool::budget::reserve_outer(self.workers);
         let mut accept_error = None;
         std::thread::scope(|scope| {
             for _ in 0..self.workers {

@@ -17,7 +17,7 @@ use drcell::serve::{Client, Frame, Server};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The daemon half — in-process here; normally `drcell-serve serve
     // --addr 127.0.0.1:7878 --workers 2`. With 2 workers, two jobs run
-    // concurrently, each on half the thread budget.
+    // concurrently, one thread each.
     let server = Server::bind("127.0.0.1:0", 2)?;
     let addr = server.local_addr()?;
     let daemon = std::thread::spawn(move || server.run());

@@ -148,7 +148,7 @@ fn sweep_job_matches_sweep_engine_jsonl_byte_for_byte() {
 
 #[test]
 fn served_rows_identical_under_forced_scalar_and_simd_backends() {
-    // Invariant 9 at the serving layer: forcing the compute backend in
+    // Invariant 8 at the serving layer: forcing the compute backend in
     // the submitted spec (an execution-only knob) must not change one
     // byte of the served stream — and both forced runs must equal the
     // engine reference. Without AVX2 the simd leg falls back to scalar.
