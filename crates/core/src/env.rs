@@ -7,7 +7,7 @@ use drcell_linalg::Matrix;
 use drcell_quality::ErrorMetric;
 use drcell_rl::{Environment, StepOutcome};
 
-use crate::{selection_history, CoreError, CostModel, SensingTask};
+use crate::{selection_history, CoreError, SensingTask};
 
 /// Configuration of the training-stage MCS environment.
 #[derive(Debug, Clone)]
@@ -19,9 +19,6 @@ pub struct McsEnvConfig {
     pub reward_bonus: Option<f64>,
     /// Per-selection cost `c` (paper uses 1).
     pub cost: f64,
-    /// Heterogeneous per-cell prices (paper §6 future work); overrides
-    /// `cost` when set. Must match the task's cell count.
-    pub cell_costs: Option<CostModel>,
     /// Trailing cycles fed to compressive sensing when computing the true
     /// cycle error.
     pub window: usize,
@@ -44,7 +41,6 @@ impl Default for McsEnvConfig {
             history_k: 3,
             reward_bonus: None,
             cost: 1.0,
-            cell_costs: None,
             window: 24,
             inference: CompressiveSensingConfig {
                 max_iters: 15,
@@ -105,17 +101,6 @@ impl McsEnvironment {
             return Err(CoreError::InvalidConfig {
                 reason: "cost must be positive".to_owned(),
             });
-        }
-        if let Some(model) = &config.cell_costs {
-            if model.cells() != task.cells() {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!(
-                        "cost model covers {} cells, task has {}",
-                        model.cells(),
-                        task.cells()
-                    ),
-                });
-            }
         }
         let truth = task.training_data();
         let cs = CompressiveSensing::new(config.inference.clone())?;
@@ -241,14 +226,10 @@ impl Environment for McsEnvironment {
         let all_sensed = self.selections_this_cycle >= self.truth.cells();
         let cycle_done = quality || cap_hit || all_sensed;
 
-        let step_cost = match &self.config.cell_costs {
-            Some(model) => model.cost(action),
-            None => self.config.cost,
-        };
         let reward = if quality {
-            self.reward_bonus() - step_cost
+            self.reward_bonus() - self.config.cost
         } else {
-            -step_cost
+            -self.config.cost
         };
 
         if cycle_done {
@@ -443,39 +424,6 @@ mod tests {
         let task = smooth_task();
         let e = env(&task);
         assert_eq!(e.reward_bonus(), 6.0);
-    }
-
-    #[test]
-    fn heterogeneous_costs_charged_per_cell() {
-        let task = noisy_task(1e-9); // quality unreachable until all sensed
-        let mut e = McsEnvironment::new(
-            &task,
-            McsEnvConfig {
-                history_k: 2,
-                window: 4,
-                cell_costs: Some(crate::CostModel::per_cell(vec![1.0, 2.0, 3.0, 4.0]).unwrap()),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        e.reset();
-        assert_eq!(e.step(2).reward, -3.0);
-        assert_eq!(e.step(0).reward, -1.0);
-        assert_eq!(e.step(1).reward, -2.0);
-        // Final selection completes the cycle: R − c₃ = 4 − 4 = 0.
-        let out = e.step(3);
-        assert!(out.cycle_done);
-        assert_eq!(out.reward, 0.0);
-    }
-
-    #[test]
-    fn mismatched_cost_model_rejected() {
-        let task = smooth_task();
-        let cfg = McsEnvConfig {
-            cell_costs: Some(crate::CostModel::uniform(3, 1.0).unwrap()),
-            ..Default::default()
-        };
-        assert!(McsEnvironment::new(&task, cfg).is_err());
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //! * [`McsEnvironment`] — the paper's state/action/reward model (§4.1) as an
 //!   RL environment over the training stage;
 //! * [`DrCellTrainer`] — offline Q-function training (Algorithm 2) with
-//!   DRQN or dense DQN networks;
+//!   DRQN or dense DQN networks, every selection charged the same cost `c`;
 //! * policies — [`DrCellPolicy`] plus the baselines [`QbcPolicy`],
 //!   [`RandomPolicy`] and the ablation-only [`GreedyErrorPolicy`];
 //! * [`SparseMcsRunner`] — the testing stage: per cycle, select cells until
 //!   leave-one-out Bayesian quality assessment clears (ε, p), then infer the
 //!   rest with compressive sensing;
-//! * [`transfer`] — §4.4 transfer learning between correlated tasks.
+//! * [`transfer`] — §4.4 transfer learning between correlated tasks;
+//! * [`report`] — assessor calibration (estimated stop-probability
+//!   against the realised within-ε rate) over a finished run.
 //!
 //! ```no_run
 //! use drcell_core::{DrCellTrainer, SensingTask, SparseMcsRunner, TrainerConfig};
@@ -44,7 +46,6 @@
 
 #![deny(missing_docs)]
 
-mod cost;
 mod env;
 mod error;
 mod policies;
@@ -57,13 +58,12 @@ pub mod experiments;
 pub mod report;
 pub mod transfer;
 
-pub use cost::CostModel;
 pub use drcell_linalg::{backend, BackendChoice, BackendKind};
 pub use env::{McsEnvConfig, McsEnvironment};
 pub use error::CoreError;
 pub use policies::{
-    CellSelectionPolicy, DrCellPolicy, DrCellTabularPolicy, GreedyErrorPolicy, OnlineDrCellConfig,
-    OnlineDrCellPolicy, QbcPolicy, RandomPolicy,
+    CellSelectionPolicy, DrCellPolicy, GreedyErrorPolicy, OnlineDrCellConfig, OnlineDrCellPolicy,
+    QbcPolicy, RandomPolicy,
 };
 pub use runner::{CycleRecord, RunReport, RunnerConfig, SparseMcsRunner, StopReason};
 pub use state::selection_history;

@@ -1,5 +1,5 @@
 use drcell_inference::ObservedMatrix;
-use drcell_rl::{DqnAgent, QNetwork, TabularQLearning};
+use drcell_rl::{DqnAgent, QNetwork};
 use rand::RngCore;
 
 use crate::{selection_history, CellSelectionPolicy, CoreError};
@@ -65,47 +65,11 @@ impl<N: QNetwork> CellSelectionPolicy for DrCellPolicy<N> {
     }
 }
 
-/// Tabular DR-Cell (paper §4.2): the same greedy selection backed by a
-/// learned Q-table — viable only for small areas, used by the Fig. 5
-/// walkthrough example and ablations.
-#[derive(Debug, Clone)]
-pub struct DrCellTabularPolicy {
-    table: TabularQLearning,
-    history_k: usize,
-}
-
-impl DrCellTabularPolicy {
-    /// Wraps a trained Q-table; `history_k` must match training.
-    pub fn new(table: TabularQLearning, history_k: usize) -> Self {
-        DrCellTabularPolicy { table, history_k }
-    }
-}
-
-impl CellSelectionPolicy for DrCellTabularPolicy {
-    fn name(&self) -> &str {
-        "DR-Cell (tabular)"
-    }
-
-    fn select_next(
-        &mut self,
-        obs: &ObservedMatrix,
-        cycle: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<usize, CoreError> {
-        let state = selection_history(obs, cycle, self.history_k);
-        let mask: Vec<bool> = (0..obs.cells())
-            .map(|i| !obs.is_observed(i, cycle))
-            .collect();
-        Ok(self.table.select_action(&state, &mask, 0.0, rng)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drcell_linalg::Matrix;
     use drcell_neural::Adam;
-    use drcell_rl::{DqnConfig, DrqnQNetwork, TabularConfig, Transition};
+    use drcell_rl::{DqnConfig, DrqnQNetwork};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -146,34 +110,5 @@ mod tests {
     fn name_override() {
         let policy = DrCellPolicy::new(agent(3, 2), 2).with_name("TRANSFER");
         assert_eq!(policy.name(), "TRANSFER");
-    }
-
-    #[test]
-    fn tabular_policy_uses_learned_values() {
-        let mut table = TabularQLearning::new(
-            3,
-            TabularConfig {
-                alpha: 1.0,
-                gamma: 0.9,
-            },
-        )
-        .unwrap();
-        // Teach: from the empty 1-cycle history state, action 2 is best.
-        let s0 = Matrix::zeros(1, 3);
-        let mut s1 = Matrix::zeros(1, 3);
-        s1[(0, 2)] = 1.0;
-        table.update(&Transition::new(
-            s0,
-            2,
-            5.0,
-            s1,
-            vec![true, true, false],
-            true,
-        ));
-        let mut policy = DrCellTabularPolicy::new(table, 1);
-        let obs = ObservedMatrix::new(3, 1);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(policy.select_next(&obs, 0, &mut rng).unwrap(), 2);
-        assert_eq!(policy.name(), "DR-Cell (tabular)");
     }
 }

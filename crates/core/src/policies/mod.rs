@@ -6,7 +6,7 @@ mod online;
 mod qbc;
 mod random;
 
-pub use drcell::{DrCellPolicy, DrCellTabularPolicy};
+pub use drcell::DrCellPolicy;
 pub use greedy::GreedyErrorPolicy;
 pub use online::{OnlineDrCellConfig, OnlineDrCellPolicy};
 pub use qbc::QbcPolicy;

@@ -1,78 +1,7 @@
-//! Post-run analytics over [`crate::RunReport`]s: selection-frequency
-//! diagnostics (the paper's Fig. 1 intuition — *where* does a policy
-//! sense?), assessor-calibration checks, side-by-side comparison tables,
-//! and CSV export for external plotting.
+//! Post-run analytics over [`crate::RunReport`]s: how the assessor's
+//! estimated stop-probability compares with the realised within-ε rate.
 
 use crate::RunReport;
-
-/// How often each cell was selected across a run, plus derived
-/// concentration measures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectionProfile {
-    counts: Vec<usize>,
-    cycles: usize,
-}
-
-impl SelectionProfile {
-    /// Builds the profile from a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` is smaller than the largest selected index.
-    pub fn from_report(report: &RunReport, cells: usize) -> Self {
-        let mut counts = vec![0usize; cells];
-        for c in &report.cycles {
-            for &cell in &c.selected {
-                counts[cell] += 1;
-            }
-        }
-        SelectionProfile {
-            counts,
-            cycles: report.cycles.len(),
-        }
-    }
-
-    /// Per-cell selection counts.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
-    /// Fraction of cycles in which `cell` was sensed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub fn selection_rate(&self, cell: usize) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.counts[cell] as f64 / self.cycles as f64
-        }
-    }
-
-    /// Number of cells never selected.
-    pub fn never_selected(&self) -> usize {
-        self.counts.iter().filter(|&&c| c == 0).count()
-    }
-
-    /// Normalised selection entropy in `[0, 1]`: 1 = selections spread
-    /// uniformly over all cells (the paper's Case 1.2 / 2.2 behaviour),
-    /// 0 = all selections on one cell (Case 1.1 / 2.1).
-    pub fn spread(&self) -> f64 {
-        let total: usize = self.counts.iter().sum();
-        if total == 0 || self.counts.len() < 2 {
-            return 0.0;
-        }
-        let mut h = 0.0;
-        for &c in &self.counts {
-            if c > 0 {
-                let p = c as f64 / total as f64;
-                h -= p * p.ln();
-            }
-        }
-        h / (self.counts.len() as f64).ln()
-    }
-}
 
 /// Calibration of the quality assessor over a run: how the *estimated*
 /// stop-probability relates to the *realised* within-ε outcome.
@@ -109,51 +38,6 @@ impl AssessorCalibration {
     }
 }
 
-/// Renders a fixed-width comparison table of several runs (one per row).
-pub fn comparison_table(reports: &[&RunReport]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<18} {:>12} {:>14} {:>12} {:>10}\n",
-        "policy", "cells/cycle", "total selects", "within-ε %", "meets p"
-    ));
-    for r in reports {
-        out.push_str(&format!(
-            "{:<18} {:>12.2} {:>14} {:>11.1}% {:>10}\n",
-            r.policy,
-            r.mean_cells_per_cycle(),
-            r.total_selections(),
-            r.fraction_within_epsilon() * 100.0,
-            if r.satisfies_requirement() {
-                "yes"
-            } else {
-                "NO"
-            },
-        ));
-    }
-    out
-}
-
-/// Serialises per-cycle records as CSV (header + one row per cycle) for
-/// external plotting tools.
-pub fn to_csv(report: &RunReport) -> String {
-    let mut out = String::from(
-        "cycle,selected_count,true_error,estimated_probability,within_epsilon,selected_cells\n",
-    );
-    for c in &report.cycles {
-        let cells: Vec<String> = c.selected.iter().map(|i| i.to_string()).collect();
-        out.push_str(&format!(
-            "{},{},{},{},{},{}\n",
-            c.cycle,
-            c.selected.len(),
-            c.true_error,
-            c.estimated_probability,
-            c.within_epsilon,
-            cells.join(";"),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,40 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_counts_and_rates() {
-        let r = report(
-            vec![vec![0, 1], vec![0, 2], vec![0]],
-            vec![true, true, true],
-            vec![0.95, 0.95, 0.95],
-        );
-        let p = SelectionProfile::from_report(&r, 4);
-        assert_eq!(p.counts(), &[3, 1, 1, 0]);
-        assert_eq!(p.selection_rate(0), 1.0);
-        assert!((p.selection_rate(1) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(p.never_selected(), 1);
-    }
-
-    #[test]
-    fn spread_extremes() {
-        // All selections on a single cell: spread 0.
-        let concentrated = report(
-            vec![vec![0], vec![0], vec![0], vec![0]],
-            vec![true; 4],
-            vec![0.9; 4],
-        );
-        let p = SelectionProfile::from_report(&concentrated, 4);
-        assert_eq!(p.spread(), 0.0);
-        // Perfectly uniform: spread 1.
-        let uniform = report(
-            vec![vec![0], vec![1], vec![2], vec![3]],
-            vec![true; 4],
-            vec![0.9; 4],
-        );
-        let p = SelectionProfile::from_report(&uniform, 4);
-        assert!((p.spread() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn calibration_gap() {
         let r = report(vec![vec![0], vec![1]], vec![true, true], vec![0.9, 0.9]);
         let c = AssessorCalibration::from_report(&r).unwrap();
@@ -228,26 +78,5 @@ mod tests {
     fn calibration_empty_is_none() {
         let r = report(vec![], vec![], vec![]);
         assert!(AssessorCalibration::from_report(&r).is_none());
-    }
-
-    #[test]
-    fn comparison_table_contains_all_policies() {
-        let a = report(vec![vec![0]], vec![true], vec![0.9]);
-        let mut b = report(vec![vec![0, 1]], vec![false], vec![0.5]);
-        b.policy = "OTHER".into();
-        let table = comparison_table(&[&a, &b]);
-        assert!(table.contains("TEST"));
-        assert!(table.contains("OTHER"));
-        assert!(table.contains("NO"));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let r = report(vec![vec![2, 0]], vec![true], vec![0.93]);
-        let csv = to_csv(&r);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("cycle,"));
-        assert!(lines[1].contains("2;0"));
     }
 }

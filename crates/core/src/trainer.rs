@@ -3,7 +3,7 @@ use rand::Rng;
 use drcell_neural::Adam;
 use drcell_rl::{
     DqnAgent, DqnConfig, DrqnQNetwork, Environment, EpsilonSchedule, MlpQNetwork, QNetwork,
-    TabularConfig, TabularQLearning, Transition,
+    Transition,
 };
 
 use crate::{CoreError, McsEnvConfig, McsEnvironment, SensingTask};
@@ -161,46 +161,6 @@ impl DrCellTrainer {
         }
         Ok(agent)
     }
-
-    /// Trains a tabular Q-learning policy (Algorithm 1) — only sensible for
-    /// very small areas.
-    ///
-    /// # Errors
-    ///
-    /// Propagates environment construction failures.
-    pub fn train_tabular<R: Rng + ?Sized>(
-        &self,
-        task: &SensingTask,
-        config: TabularConfig,
-        rng: &mut R,
-    ) -> Result<TabularQLearning, CoreError> {
-        let mut table = TabularQLearning::new(task.cells(), config)?;
-        let mut env = McsEnvironment::new(task, self.config.env.clone())?;
-        let mut global_step = 0usize;
-        for _ in 0..self.config.episodes {
-            env.reset();
-            loop {
-                let state = env.state();
-                let mask = env.action_mask();
-                let eps = self.config.epsilon.value(global_step);
-                let action = table.select_action(&state, &mask, eps, rng)?;
-                let outcome = env.step(action);
-                table.update(&Transition::new(
-                    state,
-                    action,
-                    outcome.reward,
-                    env.state(),
-                    env.action_mask(),
-                    outcome.episode_done,
-                ));
-                global_step += 1;
-                if outcome.episode_done {
-                    break;
-                }
-            }
-        }
-        Ok(table)
-    }
 }
 
 #[cfg(test)]
@@ -271,16 +231,6 @@ mod tests {
             .train_dqn(&task, &mut rng)
             .unwrap();
         assert!(agent.train_steps() > 0);
-    }
-
-    #[test]
-    fn tabular_training_visits_states() {
-        let task = tiny_task();
-        let mut rng = StdRng::seed_from_u64(2);
-        let table = DrCellTrainer::new(fast_config())
-            .train_tabular(&task, TabularConfig::default(), &mut rng)
-            .unwrap();
-        assert!(table.states_visited() > 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the DR-Cell core invariants.
 
-use drcell_core::report::{AssessorCalibration, SelectionProfile};
-use drcell_core::{selection_history, CostModel, CycleRecord, RunReport};
+use drcell_core::report::AssessorCalibration;
+use drcell_core::{selection_history, CycleRecord, RunReport};
 use drcell_inference::ObservedMatrix;
 use drcell_quality::QualityRequirement;
 use proptest::prelude::*;
@@ -64,18 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn cost_model_total_matches_sum(
-        prices in proptest::collection::vec(0.1f64..10.0, 1..12),
-        picks in proptest::collection::vec(0usize..12, 0..20),
-    ) {
-        let model = CostModel::per_cell(prices.clone()).unwrap();
-        let valid: Vec<usize> = picks.into_iter().filter(|&i| i < prices.len()).collect();
-        let total = model.total(&valid);
-        let expected: f64 = valid.iter().map(|&i| prices[i]).sum();
-        prop_assert!((total - expected).abs() < 1e-9);
-    }
-
-    #[test]
     fn report_invariants(
         cycle_lens in proptest::collection::vec(1usize..6, 1..20),
         seed in any::<u64>(),
@@ -109,17 +97,8 @@ proptest! {
         prop_assert!((mean - total as f64 / report.cycles.len() as f64).abs() < 1e-12);
         prop_assert!((0.0..=1.0).contains(&report.fraction_within_epsilon()));
 
-        // Profile counts sum to total selections.
-        let profile = SelectionProfile::from_report(&report, cells);
-        prop_assert_eq!(profile.counts().iter().sum::<usize>(), total);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&profile.spread()));
-
         // Calibration lives in [−1, 1].
         let cal = AssessorCalibration::from_report(&report).unwrap();
         prop_assert!(cal.conservatism().abs() <= 1.0 + 1e-12);
-
-        // Re-pricing with uniform cost 1 equals the selection count.
-        let bill = CostModel::uniform(cells, 1.0).unwrap();
-        prop_assert!((bill.price_report(&report).unwrap() - total as f64).abs() < 1e-9);
     }
 }

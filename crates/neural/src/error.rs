@@ -9,29 +9,12 @@ pub enum NeuralError {
         /// Human-readable description of the problem.
         reason: String,
     },
-    /// Input dimensions did not match the network.
-    DimensionMismatch {
-        /// What was expected.
-        expected: usize,
-        /// What was received.
-        got: usize,
-        /// Which dimension ("input", "output", "sequence length", ...).
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for NeuralError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NeuralError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
-            NeuralError::DimensionMismatch {
-                expected,
-                got,
-                what,
-            } => write!(
-                f,
-                "{what} dimension mismatch: expected {expected}, got {got}"
-            ),
         }
     }
 }
@@ -44,12 +27,10 @@ mod tests {
 
     #[test]
     fn display_contains_detail() {
-        let e = NeuralError::DimensionMismatch {
-            expected: 4,
-            got: 3,
-            what: "input",
+        let e = NeuralError::InvalidConfig {
+            reason: "layer_sizes needs at least 2 entries".to_owned(),
         };
-        assert!(e.to_string().contains("input"));
-        assert!(e.to_string().contains('4'));
+        assert!(e.to_string().contains("layer_sizes"));
+        assert!(e.to_string().contains('2'));
     }
 }

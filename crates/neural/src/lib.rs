@@ -2,9 +2,10 @@
 //!
 //! The DR-Cell paper trains its Q-functions with TensorFlow; this crate
 //! provides the equivalent machinery in pure Rust: dense and LSTM layers
-//! with exact backpropagation (including BPTT through sequences), the usual
-//! first-order optimizers, and parameter flattening for target-network
-//! copies and transfer learning (paper §4.3–4.4).
+//! with exact backpropagation (including BPTT through sequences), the Adam
+//! optimizer DR-Cell trains with (plus plain SGD, which the gradient tests
+//! use), and parameter flattening for target-network copies and transfer
+//! learning (paper §4.3–4.4).
 //!
 //! The networks needed are small (a few hundred inputs, one recurrent
 //! layer), so everything is `f64` on the CPU, with correctness guarded by
@@ -39,19 +40,17 @@ mod mlp;
 mod optimizer;
 mod recurrent;
 
-pub mod persist;
-
 pub use activation::Activation;
 pub use dense::DenseLayer;
 pub use error::NeuralError;
 pub use loss::Loss;
 pub use lstm::{LstmBatchCache, LstmCache, LstmLayer};
 pub use mlp::{Mlp, MlpConfig};
-pub use optimizer::{Adam, Optimizer, RmsProp, Sgd};
+pub use optimizer::{Adam, Optimizer, Sgd};
 pub use recurrent::{RecurrentNetwork, RecurrentNetworkConfig};
 
-/// Anything with a flat parameter vector: supports target-network copies,
-/// transfer-learning initialisation, and text serialisation.
+/// Anything with a flat parameter vector: supports target-network copies
+/// and transfer-learning initialisation.
 pub trait Parameterized {
     /// Total number of scalar parameters.
     fn param_len(&self) -> usize;

@@ -2,7 +2,7 @@
 //!
 //! Optimizers operate on flat parameter/gradient vectors — the layout
 //! produced by [`crate::Parameterized`] — and keep their own per-parameter
-//! state (momentum, second moments) sized on first use.
+//! state (Adam's moment estimates) sized on first use.
 
 /// A first-order optimizer updating a flat parameter vector in place.
 pub trait Optimizer: Send {
@@ -13,17 +13,12 @@ pub trait Optimizer: Send {
     /// Panics if `params.len() != grads.len()` or the length changes between
     /// calls.
     fn step(&mut self, params: &mut [f64], grads: &[f64]);
-
-    /// Resets internal state (momentum/second-moment accumulators).
-    fn reset(&mut self);
 }
 
-/// Stochastic gradient descent with optional classical momentum.
+/// Plain stochastic gradient descent: `p -= lr · g`.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f64,
-    momentum: f64,
-    velocity: Vec<f64>,
 }
 
 impl Sgd {
@@ -33,91 +28,17 @@ impl Sgd {
     ///
     /// Panics if `lr <= 0`.
     pub fn new(lr: f64) -> Self {
-        Sgd::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum coefficient `momentum ∈ [0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum ∉ [0, 1)`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// The learning rate.
-    pub fn lr(&self) -> f64 {
-        self.lr
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.velocity.is_empty() {
-            self.velocity = vec![0.0; params.len()];
+        for (p, g) in params.iter_mut().zip(grads) {
+            *p -= self.lr * g;
         }
-        assert_eq!(self.velocity.len(), params.len(), "state length changed");
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            *v = self.momentum * *v - self.lr * g;
-            *p += *v;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-}
-
-/// RMSProp — the optimizer of the original DQN paper (Mnih et al. 2013).
-#[derive(Debug, Clone)]
-pub struct RmsProp {
-    lr: f64,
-    decay: f64,
-    eps: f64,
-    mean_sq: Vec<f64>,
-}
-
-impl RmsProp {
-    /// Creates RMSProp with learning rate `lr` and squared-gradient decay
-    /// `decay` (0.9 and 0.99 are common).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `decay ∉ [0, 1)`.
-    pub fn new(lr: f64, decay: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&decay), "decay must be in [0, 1)");
-        RmsProp {
-            lr,
-            decay,
-            eps: 1e-8,
-            mean_sq: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.mean_sq.is_empty() {
-            self.mean_sq = vec![0.0; params.len()];
-        }
-        assert_eq!(self.mean_sq.len(), params.len(), "state length changed");
-        for ((p, g), ms) in params.iter_mut().zip(grads).zip(&mut self.mean_sq) {
-            *ms = self.decay * *ms + (1.0 - self.decay) * g * g;
-            *p -= self.lr * g / (ms.sqrt() + self.eps);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.mean_sq.clear();
     }
 }
 
@@ -140,22 +61,11 @@ impl Adam {
     ///
     /// Panics if `lr <= 0`.
     pub fn new(lr: f64) -> Self {
-        Adam::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Adam with explicit moment coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or either beta is outside `[0, 1)`.
-    pub fn with_betas(lr: f64, beta1: f64, beta2: f64) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1), "beta1 must be in [0, 1)");
-        assert!((0.0..1.0).contains(&beta2), "beta2 must be in [0, 1)");
         Adam {
             lr,
-            beta1,
-            beta2,
+            beta1: 0.9,
+            beta2: 0.999,
             eps: 1e-8,
             t: 0,
             m: Vec::new(),
@@ -190,12 +100,6 @@ impl Optimizer for Adam {
             *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
-
-    fn reset(&mut self) {
-        self.t = 0;
-        self.m.clear();
-        self.v.clear();
-    }
 }
 
 #[cfg(test)]
@@ -219,16 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_minimises() {
-        minimises_quadratic(&mut Sgd::with_momentum(0.02, 0.9));
-    }
-
-    #[test]
-    fn rmsprop_minimises() {
-        minimises_quadratic(&mut RmsProp::new(0.05, 0.9));
-    }
-
-    #[test]
     fn adam_minimises() {
         minimises_quadratic(&mut Adam::new(0.1));
     }
@@ -239,17 +133,6 @@ mod tests {
         let mut p = vec![1.0];
         opt.step(&mut p, &[2.0]);
         assert!((p[0] - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut opt = Adam::new(0.1);
-        let mut p = vec![1.0, 2.0];
-        opt.step(&mut p, &[0.1, 0.1]);
-        opt.reset();
-        // After reset a different parameter count is fine.
-        let mut q = vec![1.0];
-        opt.step(&mut q, &[0.1]);
     }
 
     #[test]

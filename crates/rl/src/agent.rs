@@ -3,9 +3,7 @@ use rand::Rng;
 use drcell_linalg::Matrix;
 use drcell_neural::{Loss, Optimizer};
 
-use crate::{
-    epsilon_greedy, masked_argmax, masked_max, QNetwork, ReplayBuffer, RlError, Transition,
-};
+use crate::{epsilon_greedy, masked_max, QNetwork, ReplayBuffer, RlError, Transition};
 
 /// Hyper-parameters of the DQN/DRQN agent (paper Algorithm 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,11 +21,6 @@ pub struct DqnConfig {
     pub learning_starts: usize,
     /// Training loss on the TD error.
     pub loss: Loss,
-    /// Use Double-DQN targets (van Hasselt et al. 2016): the online network
-    /// picks the bootstrap action, the target network values it. Reduces
-    /// the max-operator over-estimation bias; off by default to match the
-    /// paper's Algorithm 2.
-    pub double_dqn: bool,
 }
 
 impl Default for DqnConfig {
@@ -39,7 +32,6 @@ impl Default for DqnConfig {
             target_update_interval: 100,
             learning_starts: 64,
             loss: Loss::Huber(1.0),
-            double_dqn: false,
         }
     }
 }
@@ -171,10 +163,10 @@ impl<N: QNetwork> DqnAgent<N> {
     /// One training step: sample a minibatch *by index* (no `Transition`
     /// clones), build the fixed-target TD values (paper eq. 7) from **one
     /// batched forward per network** — current states through the online
-    /// net, next states through the target net (plus one online pass for
-    /// Double DQN) — then regress with the GEMM-backed batched update and
-    /// periodically sync the target network. Returns the batch loss, or
-    /// `None` while the replay buffer is still warming up.
+    /// net, next states through the target net — then regress with the
+    /// GEMM-backed batched update and periodically sync the target network.
+    /// Returns the batch loss, or `None` while the replay buffer is still
+    /// warming up.
     ///
     /// Numerically this reproduces the per-sample scalar reference path
     /// ([`DqnAgent::train_step_reference`]) bit-for-bit for dense networks
@@ -220,11 +212,6 @@ impl<N: QNetwork> DqnAgent<N> {
         // TD targets per transition: `r + γ·bootstrap`, needing only the
         // next-state sweeps.
         let q_next_target = self.target.q_values_batch(&next_states);
-        let q_next_online = if self.config.double_dqn {
-            Some(self.online.q_values_batch(&next_states))
-        } else {
-            None
-        };
         let td: Vec<(usize, f64)> = idxs
             .iter()
             .enumerate()
@@ -232,13 +219,6 @@ impl<N: QNetwork> DqnAgent<N> {
                 let t = self.replay.get(i);
                 let bootstrap = if t.terminal {
                     0.0
-                } else if let Some(q_online) = &q_next_online {
-                    // Double DQN: select with the online net, evaluate with
-                    // the target net.
-                    match masked_argmax(q_online.row(b), &t.next_mask) {
-                        Some(a_star) => q_next_target[(b, a_star)],
-                        None => 0.0,
-                    }
                 } else {
                     masked_max(q_next_target.row(b), &t.next_mask).unwrap_or(0.0)
                 };
@@ -282,12 +262,8 @@ impl<N: QNetwork> DqnAgent<N> {
     ///
     /// Draws the same RNG sequence as [`DqnAgent::train_step`], so two
     /// identically seeded agents stepped through the two paths see the
-    /// same minibatches. Two deliberate departures from the pre-PR code
-    /// (shared with the batched path, so seeded traces recorded *before*
-    /// this engine are not replayed exactly): Double-DQN action selection
-    /// uses the value-identical, draw-free [`masked_argmax`] instead of
-    /// `epsilon_greedy(…, 0.0, rng)`, and single-sample forwards
-    /// accumulate bias-first to match the batched GEMM ordering.
+    /// same minibatches. Single-sample forwards accumulate bias-first to
+    /// match the batched GEMM ordering.
     pub fn train_step_reference<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<f64> {
         if self.replay.len() < self.config.learning_starts.max(self.config.batch_size) {
             return None;
@@ -304,12 +280,6 @@ impl<N: QNetwork> DqnAgent<N> {
             let mut target_vec = self.online.q_values(&t.state);
             let bootstrap = if t.terminal {
                 0.0
-            } else if self.config.double_dqn {
-                let q_online_next = self.online.q_values(&t.next_state);
-                match masked_argmax(&q_online_next, &t.next_mask) {
-                    Some(a_star) => self.target.q_values(&t.next_state)[a_star],
-                    None => 0.0,
-                }
             } else {
                 let q_next = self.target.q_values(&t.next_state);
                 masked_max(&q_next, &t.next_mask).unwrap_or(0.0)
@@ -591,58 +561,7 @@ mod tests {
         assert_eq!(agent.online.params(), agent.target.params());
     }
 
-    #[test]
-    fn double_dqn_variant_learns_too() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let net = MlpQNetwork::new(1, 4, &[32], &mut rng).unwrap();
-        let mut agent = DqnAgent::new(
-            net,
-            Box::new(Adam::new(5e-3)),
-            DqnConfig {
-                batch_size: 16,
-                learning_starts: 32,
-                target_update_interval: 50,
-                gamma: 0.9,
-                double_dqn: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut env = SelectInformative::new(4, vec![1, 3]);
-        train_agent(&mut agent, &mut env, 41);
-        let len = greedy_cycle_length(&agent, &mut env);
-        assert!(len <= 3, "double-DQN greedy policy used {len} picks");
-    }
-
-    #[test]
-    fn double_dqn_terminal_still_no_bootstrap() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let net = MlpQNetwork::new(1, 2, &[8], &mut rng).unwrap();
-        let mut agent = DqnAgent::new(
-            net,
-            Box::new(Adam::new(1e-2)),
-            DqnConfig {
-                batch_size: 2,
-                learning_starts: 2,
-                double_dqn: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for _ in 0..4 {
-            agent.observe(Transition::new(
-                Matrix::zeros(1, 2),
-                0,
-                1.0,
-                Matrix::zeros(1, 2),
-                vec![true, true],
-                true,
-            ));
-        }
-        assert!(agent.train_step(&mut rng).is_some());
-    }
-
-    fn prefilled_agent<N: QNetwork>(net: N, cells: usize, k: usize, double: bool) -> DqnAgent<N> {
+    fn prefilled_agent<N: QNetwork>(net: N, cells: usize, k: usize) -> DqnAgent<N> {
         let mut agent = DqnAgent::new(
             net,
             Box::new(Adam::new(1e-3)),
@@ -650,7 +569,6 @@ mod tests {
                 batch_size: 16,
                 learning_starts: 16,
                 target_update_interval: 25,
-                double_dqn: double,
                 ..Default::default()
             },
         )
@@ -679,32 +597,27 @@ mod tests {
     /// two are bit-identical; ≤1e-9 is asserted.
     #[test]
     fn batched_train_step_reproduces_reference_trace_mlp() {
-        for double in [false, true] {
-            let mut rng = StdRng::seed_from_u64(77);
-            let net = MlpQNetwork::new(3, 6, &[64, 64], &mut rng).unwrap();
-            let mut batched = prefilled_agent(net.clone(), 6, 3, double);
-            let mut reference = prefilled_agent(net, 6, 3, double);
+        let mut rng = StdRng::seed_from_u64(77);
+        let net = MlpQNetwork::new(3, 6, &[64, 64], &mut rng).unwrap();
+        let mut batched = prefilled_agent(net.clone(), 6, 3);
+        let mut reference = prefilled_agent(net, 6, 3);
 
-            let mut rng_b = StdRng::seed_from_u64(123);
-            let mut rng_r = StdRng::seed_from_u64(123);
-            for step in 0..200 {
-                let lb = batched.train_step(&mut rng_b).unwrap();
-                let lr = reference.train_step_reference(&mut rng_r).unwrap();
-                assert!(
-                    (lb - lr).abs() <= 1e-9,
-                    "double={double} step {step}: batched {lb} vs reference {lr}"
-                );
-            }
-            for (pb, pr) in batched
-                .export_params()
-                .iter()
-                .zip(reference.export_params())
-            {
-                assert!(
-                    (pb - pr).abs() <= 1e-9,
-                    "double={double}: params drifted ({pb} vs {pr})"
-                );
-            }
+        let mut rng_b = StdRng::seed_from_u64(123);
+        let mut rng_r = StdRng::seed_from_u64(123);
+        for step in 0..200 {
+            let lb = batched.train_step(&mut rng_b).unwrap();
+            let lr = reference.train_step_reference(&mut rng_r).unwrap();
+            assert!(
+                (lb - lr).abs() <= 1e-9,
+                "step {step}: batched {lb} vs reference {lr}"
+            );
+        }
+        for (pb, pr) in batched
+            .export_params()
+            .iter()
+            .zip(reference.export_params())
+        {
+            assert!((pb - pr).abs() <= 1e-9, "params drifted ({pb} vs {pr})");
         }
     }
 
@@ -716,8 +629,8 @@ mod tests {
     fn batched_train_step_reproduces_reference_trace_drqn() {
         let mut rng = StdRng::seed_from_u64(78);
         let net = DrqnQNetwork::new(5, 24, &mut rng).unwrap();
-        let mut batched = prefilled_agent(net.clone(), 5, 3, false);
-        let mut reference = prefilled_agent(net, 5, 3, false);
+        let mut batched = prefilled_agent(net.clone(), 5, 3);
+        let mut reference = prefilled_agent(net, 5, 3);
 
         let mut rng_b = StdRng::seed_from_u64(321);
         let mut rng_r = StdRng::seed_from_u64(321);

@@ -5,11 +5,15 @@
 //!
 //! * [`Environment`] — the agent/world interface (states are `k × m`
 //!   history matrices, actions are cell indices),
-//! * [`TabularQLearning`] — Algorithm 1: Q-table learning for small areas,
 //! * [`DqnAgent`] — Algorithm 2: experience replay + fixed Q-targets over a
 //!   pluggable [`QNetwork`] (dense [`MlpQNetwork`] or recurrent
 //!   [`DrqnQNetwork`]),
-//! * [`ReplayBuffer`], [`EpsilonSchedule`] — the supporting pieces.
+//! * [`ReplayBuffer`], [`EpsilonSchedule`] (linear δ-greedy decay) — the
+//!   supporting pieces.
+//!
+//! The tabular Q-learning of the paper's Algorithm 1 is not implemented:
+//! the paper introduces it only to motivate the DRQN, since a Q-table over
+//! selection histories does not scale past a handful of cells.
 //!
 //! ```
 //! use drcell_rl::EpsilonSchedule;
@@ -28,7 +32,6 @@ mod error;
 mod qnet;
 mod replay;
 mod schedule;
-mod tabular;
 mod transition;
 
 pub use agent::{DqnAgent, DqnConfig};
@@ -37,10 +40,8 @@ pub use error::RlError;
 pub use qnet::{DrqnQNetwork, MlpQNetwork, QNetwork};
 pub use replay::ReplayBuffer;
 pub use schedule::EpsilonSchedule;
-pub use tabular::{TabularConfig, TabularQLearning};
 pub use transition::Transition;
 
-use drcell_linalg::Matrix;
 use rand::Rng;
 
 /// Selects an action ε-greedily from Q-values under a validity mask:
@@ -75,21 +76,6 @@ pub fn epsilon_greedy<R: Rng + ?Sized>(
         .reduce(|best, i| if q[i] > q[best] { i } else { best })
 }
 
-/// Index of the largest Q-value among valid actions (ties toward lower
-/// indices, matching the greedy arm of [`epsilon_greedy`]); `None` if no
-/// action is valid.
-///
-/// # Panics
-///
-/// Panics if `q.len() != mask.len()`.
-pub fn masked_argmax(q: &[f64], mask: &[bool]) -> Option<usize> {
-    assert_eq!(q.len(), mask.len(), "q/mask length mismatch");
-    mask.iter()
-        .enumerate()
-        .filter_map(|(i, &ok)| if ok { Some(i) } else { None })
-        .reduce(|best, i| if q[i] > q[best] { i } else { best })
-}
-
 /// Largest Q-value among valid actions; `None` if no action is valid.
 ///
 /// # Panics
@@ -101,12 +87,6 @@ pub fn masked_max(q: &[f64], mask: &[bool]) -> Option<f64> {
         .zip(mask)
         .filter_map(|(&v, &ok)| if ok { Some(v) } else { None })
         .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-}
-
-/// Flattens a `k × m` state-history matrix into the row-major vector the
-/// dense Q-network consumes.
-pub fn flatten_state(state: &Matrix) -> Vec<f64> {
-    state.as_slice().to_vec()
 }
 
 #[cfg(test)]
@@ -161,29 +141,5 @@ mod tests {
         assert_eq!(masked_max(&[1.0, 5.0], &[true, false]), Some(1.0));
         assert_eq!(masked_max(&[1.0, 5.0], &[false, false]), None);
         assert_eq!(masked_max(&[-1.0, -5.0], &[true, true]), Some(-1.0));
-    }
-
-    #[test]
-    fn masked_argmax_matches_greedy_epsilon_greedy() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let q = [0.3, 0.9, 0.9, -2.0];
-        for mask in [
-            [true, true, true, true],
-            [true, false, true, true],
-            [true, false, false, true],
-            [false, false, false, false],
-        ] {
-            assert_eq!(
-                masked_argmax(&q, &mask),
-                epsilon_greedy(&q, &mask, 0.0, &mut rng),
-                "mask {mask:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn flatten_state_row_major() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(flatten_state(&m), vec![1.0, 2.0, 3.0, 4.0]);
     }
 }

@@ -6,17 +6,18 @@ use crate::RlError;
 /// relatively large exploration probability and reduce it as training
 /// proceeds.
 ///
+/// The schedule decays linearly from `start` to `end` over `steps` steps,
+/// then stays flat.
+///
 /// ```
 /// use drcell_rl::EpsilonSchedule;
 ///
-/// let s = EpsilonSchedule::exponential(1.0, 0.05, 0.99).unwrap();
-/// assert!(s.value(100) < s.value(10));
-/// assert!(s.value(100_000) >= 0.05);
+/// let s = EpsilonSchedule::linear(1.0, 0.05, 100).unwrap();
+/// assert!(s.value(50) < s.value(10));
+/// assert_eq!(s.value(100_000), 0.05);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum EpsilonSchedule {
-    /// Constant exploration probability.
-    Constant(f64),
     /// Linear decay from `start` to `end` over `steps` steps, then flat.
     Linear {
         /// Initial ε.
@@ -25,15 +26,6 @@ pub enum EpsilonSchedule {
         end: f64,
         /// Steps over which to interpolate.
         steps: usize,
-    },
-    /// Exponential decay `max(end, start · rate^step)`.
-    Exponential {
-        /// Initial ε.
-        start: f64,
-        /// Floor ε.
-        end: f64,
-        /// Per-step decay rate in `(0, 1)`.
-        rate: f64,
     },
 }
 
@@ -48,16 +40,6 @@ fn check_eps(name: &'static str, v: f64) -> Result<(), RlError> {
 }
 
 impl EpsilonSchedule {
-    /// A constant schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::InvalidConfig`] for ε outside `[0, 1]`.
-    pub fn constant(eps: f64) -> Result<Self, RlError> {
-        check_eps("eps", eps)?;
-        Ok(EpsilonSchedule::Constant(eps))
-    }
-
     /// A linear schedule from `start` to `end` over `steps` steps.
     ///
     /// # Errors
@@ -82,44 +64,13 @@ impl EpsilonSchedule {
         Ok(EpsilonSchedule::Linear { start, end, steps })
     }
 
-    /// An exponential schedule `max(end, start · rate^step)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::InvalidConfig`] for values outside `[0, 1]`,
-    /// `start < end`, or `rate ∉ (0, 1)`.
-    pub fn exponential(start: f64, end: f64, rate: f64) -> Result<Self, RlError> {
-        check_eps("start", start)?;
-        check_eps("end", end)?;
-        if start < end {
-            return Err(RlError::InvalidConfig {
-                name: "start",
-                expected: ">= end (decaying schedule)",
-            });
-        }
-        if !(rate > 0.0 && rate < 1.0) {
-            return Err(RlError::InvalidConfig {
-                name: "rate",
-                expected: "in (0, 1)",
-            });
-        }
-        Ok(EpsilonSchedule::Exponential { start, end, rate })
-    }
-
     /// The exploration probability at training step `step`.
     pub fn value(&self, step: usize) -> f64 {
-        match *self {
-            EpsilonSchedule::Constant(e) => e,
-            EpsilonSchedule::Linear { start, end, steps } => {
-                if step >= steps {
-                    end
-                } else {
-                    start + (end - start) * step as f64 / steps as f64
-                }
-            }
-            EpsilonSchedule::Exponential { start, end, rate } => {
-                (start * rate.powi(step.min(i32::MAX as usize) as i32)).max(end)
-            }
+        let EpsilonSchedule::Linear { start, end, steps } = *self;
+        if step >= steps {
+            end
+        } else {
+            start + (end - start) * step as f64 / steps as f64
         }
     }
 }
@@ -138,19 +89,11 @@ mod tests {
     }
 
     #[test]
-    fn exponential_decays_to_floor() {
-        let s = EpsilonSchedule::exponential(1.0, 0.1, 0.9).unwrap();
-        assert_eq!(s.value(0), 1.0);
-        assert!(s.value(5) < 1.0);
-        assert_eq!(s.value(1_000), 0.1);
-    }
-
-    #[test]
     fn monotone_nonincreasing() {
         for s in [
-            EpsilonSchedule::constant(0.3).unwrap(),
             EpsilonSchedule::linear(1.0, 0.0, 37).unwrap(),
-            EpsilonSchedule::exponential(0.9, 0.05, 0.95).unwrap(),
+            EpsilonSchedule::linear(0.9, 0.05, 1).unwrap(),
+            EpsilonSchedule::linear(0.3, 0.3, 10).unwrap(),
         ] {
             let mut prev = f64::INFINITY;
             for step in 0..200 {
@@ -164,10 +107,9 @@ mod tests {
 
     #[test]
     fn invalid_parameters_rejected() {
-        assert!(EpsilonSchedule::constant(1.5).is_err());
+        assert!(EpsilonSchedule::linear(1.5, 0.1, 10).is_err());
         assert!(EpsilonSchedule::linear(0.1, 0.5, 10).is_err());
         assert!(EpsilonSchedule::linear(0.5, 0.1, 0).is_err());
-        assert!(EpsilonSchedule::exponential(0.5, 0.1, 1.0).is_err());
-        assert!(EpsilonSchedule::exponential(f64::NAN, 0.1, 0.5).is_err());
+        assert!(EpsilonSchedule::linear(f64::NAN, 0.1, 5).is_err());
     }
 }

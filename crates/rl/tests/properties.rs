@@ -1,10 +1,6 @@
 //! Property-based tests of the RL substrate.
 
-use drcell_linalg::Matrix;
-use drcell_rl::{
-    epsilon_greedy, masked_max, EpsilonSchedule, ReplayBuffer, TabularConfig, TabularQLearning,
-    Transition,
-};
+use drcell_rl::{epsilon_greedy, masked_max, EpsilonSchedule, ReplayBuffer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,27 +82,6 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for &&x in &buf.sample(32, &mut rng) {
             prop_assert!(x >= oldest_kept && x < pushes);
-        }
-    }
-
-    #[test]
-    fn tabular_update_is_bounded_by_targets(
-        rewards in proptest::collection::vec(-5.0f64..5.0, 1..30),
-    ) {
-        // With gamma = 0 the Q-value is a running average of rewards, so it
-        // must stay within the reward range.
-        let mut q = TabularQLearning::new(
-            1,
-            TabularConfig { alpha: 0.3, gamma: 0.0 },
-        ).unwrap();
-        let s = Matrix::zeros(1, 1);
-        let (lo, hi) = rewards.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &r| {
-            (l.min(r), h.max(r))
-        });
-        for &r in &rewards {
-            q.update(&Transition::new(s.clone(), 0, r, s.clone(), vec![true], false));
-            let v = q.q_values(&s)[0];
-            prop_assert!(v >= lo.min(0.0) - 1e-9 && v <= hi.max(0.0) + 1e-9, "Q = {v} outside [{lo}, {hi}]");
         }
     }
 }

@@ -288,13 +288,27 @@ impl PolicySpec {
     ///
     /// # Errors
     ///
-    /// Propagates construction and training failures.
+    /// Returns [`ScenarioError::Invalid`] when a DR-Cell history window
+    /// `history_k` exceeds the task's cycle count (the `k × cells` state
+    /// matrix is sized from it, so an unchecked value from a spec file
+    /// could ask for terabytes); propagates construction and training
+    /// failures.
     pub fn build(
         &self,
         task: &SensingTask,
         runner: &RunnerSpec,
         seed: u64,
     ) -> Result<Box<dyn CellSelectionPolicy>, ScenarioError> {
+        if let PolicySpec::DrCell { history_k, .. } | PolicySpec::OnlineDrCell { history_k, .. } =
+            *self
+        {
+            if history_k > task.cycles() {
+                return Err(ScenarioError::Invalid(format!(
+                    "history_k = {history_k} exceeds the task's {} cycles",
+                    task.cycles()
+                )));
+            }
+        }
         let mut rng = StdRng::seed_from_u64(stream_seed(seed, streams::TRAIN));
         match *self {
             PolicySpec::Random => Ok(Box::new(RandomPolicy::new())),
@@ -830,6 +844,38 @@ mod tests {
         let c = stream_seed(2, streams::DATASET);
         assert_ne!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn history_window_longer_than_the_task_is_rejected_before_training() {
+        let spec = tiny_base();
+        let task = spec.build_task().unwrap();
+        let cycles = task.cycles();
+        let rejected = |policy: PolicySpec| match policy.build(&task, &spec.runner, spec.seed) {
+            Err(ScenarioError::Invalid(msg)) => assert!(msg.contains("history_k"), "{msg}"),
+            Err(e) => panic!("{}: wrong error {e}", policy.label()),
+            Ok(_) => panic!("{}: history_k past the task was accepted", policy.label()),
+        };
+        for history_k in [cycles + 1, 100_000_000_000] {
+            rejected(PolicySpec::DrCell {
+                episodes: 1,
+                hidden: 4,
+                history_k,
+                network: NetworkKind::Drqn,
+                reward_bonus: None,
+                cost: 1.0,
+            });
+            rejected(PolicySpec::OnlineDrCell {
+                hidden: 4,
+                history_k,
+            });
+        }
+        // The whole task is still a valid window.
+        let online = PolicySpec::OnlineDrCell {
+            hidden: 4,
+            history_k: cycles,
+        };
+        assert!(online.build(&task, &spec.runner, spec.seed).is_ok());
     }
 
     #[test]

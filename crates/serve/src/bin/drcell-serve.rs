@@ -36,8 +36,8 @@ USAGE:
   drcell-serve shutdown --addr HOST:PORT
 
 `serve` runs the daemon until a client sends shutdown. `--workers N` sets
-the number of concurrent jobs (0 = the process thread budget); each job's
-inner pools auto-size to budget/N, so jobs never oversubscribe the host.
+the number of concurrent jobs (0 = one per hardware thread); each job
+runs single-threaded, so N workers use at most N cores.
 
 Results are cached by content hash of the canonical spec: a repeated
 submit replays the finished stream byte-identically instead of

@@ -15,9 +15,7 @@
 //!   queried through the Beta-Binomial predictive for the probability that
 //!   at most `⌊ε·n⌋` of the `n` unsensed cells are misclassified.
 
-use serde::{Deserialize, Serialize};
-
-use crate::dist::{BetaBinomial, Normal, StudentT};
+use crate::dist::{BetaBinomial, StudentT};
 use crate::StatsError;
 
 /// Conjugate Normal-Inverse-Gamma model over i.i.d. normal observations with
@@ -35,7 +33,7 @@ use crate::StatsError;
 /// assert!(m.prob_mean_below(0.5, 10).unwrap() > 0.9);
 /// assert!(m.prob_mean_below(0.05, 10).unwrap() < 0.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalInverseGamma {
     mu: f64,
     kappa: f64,
@@ -44,30 +42,6 @@ pub struct NormalInverseGamma {
 }
 
 impl NormalInverseGamma {
-    /// Creates a model with explicit hyper-parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] unless `kappa > 0`,
-    /// `alpha > 0` and `beta > 0`.
-    pub fn new(mu: f64, kappa: f64, alpha: f64, beta: f64) -> Result<Self, StatsError> {
-        for (name, v) in [("kappa", kappa), ("alpha", alpha), ("beta", beta)] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(StatsError::InvalidParameter {
-                    name,
-                    value: v,
-                    expected: "finite and > 0",
-                });
-            }
-        }
-        Ok(NormalInverseGamma {
-            mu,
-            kappa,
-            alpha,
-            beta,
-        })
-    }
-
     /// A weakly informative prior centred at `prior_mean` with prior scale
     /// `prior_scale` and effective strength of a single pseudo-observation.
     ///
@@ -81,26 +55,6 @@ impl NormalInverseGamma {
             kappa: 1.0,
             alpha: 1.0,
             beta: prior_scale * prior_scale,
-        }
-    }
-
-    /// Posterior mean of μ.
-    pub fn posterior_mean(&self) -> f64 {
-        self.mu
-    }
-
-    /// Effective number of observations absorbed (including the prior's
-    /// pseudo-count).
-    pub fn effective_count(&self) -> f64 {
-        self.kappa
-    }
-
-    /// Posterior expectation of σ² (defined for `alpha > 1`).
-    pub fn posterior_variance_mean(&self) -> Option<f64> {
-        if self.alpha > 1.0 {
-            Some(self.beta / (self.alpha - 1.0))
-        } else {
-            None
         }
     }
 
@@ -119,19 +73,6 @@ impl NormalInverseGamma {
         for &x in xs {
             self.observe(x);
         }
-    }
-
-    /// Posterior predictive distribution of a single future observation:
-    /// Student-t with `2α` d.o.f., location `μ`, scale
-    /// `sqrt(β(κ+1)/(ακ))`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StatsError::InvalidParameter`] when the posterior scale
-    /// underflows to zero (all observations identical and no prior mass).
-    pub fn posterior_predictive(&self) -> Result<StudentT, StatsError> {
-        let scale = (self.beta * (self.kappa + 1.0) / (self.alpha * self.kappa)).sqrt();
-        StudentT::new(2.0 * self.alpha, self.mu, scale.max(1e-12))
     }
 
     /// Probability that the *mean of `n` future observations* is below `t`.
@@ -156,24 +97,6 @@ impl NormalInverseGamma {
         let t_dist = StudentT::new(2.0 * self.alpha, self.mu, var.sqrt().max(1e-12))?;
         Ok(t_dist.cdf(t))
     }
-
-    /// Gaussian approximation of the posterior over μ (useful for
-    /// diagnostics and plotting).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] when `alpha <= 1` (posterior
-    /// variance undefined).
-    pub fn posterior_mu_approx(&self) -> Result<Normal, StatsError> {
-        match self.posterior_variance_mean() {
-            Some(v) => Normal::new(self.mu, (v / self.kappa).sqrt().max(1e-12)),
-            None => Err(StatsError::InvalidParameter {
-                name: "alpha",
-                value: self.alpha,
-                expected: "> 1 for a defined posterior variance",
-            }),
-        }
-    }
 }
 
 /// Conjugate Beta-Bernoulli model over a misclassification probability.
@@ -183,36 +106,19 @@ impl NormalInverseGamma {
 ///
 /// let mut m = BetaBernoulli::uniform_prior();
 /// // 1 misclassification out of 30 leave-one-out checks.
-/// m.observe_counts(1, 30);
+/// for i in 0..30 {
+///     m.observe(i == 0);
+/// }
 /// // P(at most 9 of 36 unsensed cells misclassified) should be high.
 /// assert!(m.prob_error_count_at_most(9, 36).unwrap() > 0.9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BetaBernoulli {
     alpha: f64,
     beta: f64,
 }
 
 impl BetaBernoulli {
-    /// Creates a model with explicit Beta hyper-parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] unless both shapes are
-    /// positive.
-    pub fn new(alpha: f64, beta: f64) -> Result<Self, StatsError> {
-        for (name, v) in [("alpha", alpha), ("beta", beta)] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(StatsError::InvalidParameter {
-                    name,
-                    value: v,
-                    expected: "finite and > 0",
-                });
-            }
-        }
-        Ok(BetaBernoulli { alpha, beta })
-    }
-
     /// The uniform `Beta(1, 1)` prior.
     pub fn uniform_prior() -> Self {
         BetaBernoulli {
@@ -228,22 +134,6 @@ impl BetaBernoulli {
         } else {
             self.beta += 1.0;
         }
-    }
-
-    /// Absorbs `errors` misclassifications out of `total` trials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `errors > total`.
-    pub fn observe_counts(&mut self, errors: usize, total: usize) {
-        assert!(errors <= total, "errors cannot exceed total");
-        self.alpha += errors as f64;
-        self.beta += (total - errors) as f64;
-    }
-
-    /// Posterior mean error rate.
-    pub fn posterior_mean(&self) -> f64 {
-        self.alpha / (self.alpha + self.beta)
     }
 
     /// Probability that at most `k` of `n` future cells are misclassified
@@ -286,15 +176,26 @@ impl BetaBernoulli {
 mod tests {
     use super::*;
 
+    /// A uniform-prior model that has seen `errors` misclassifications
+    /// out of `total` checks.
+    fn observed(errors: usize, total: usize) -> BetaBernoulli {
+        let mut m = BetaBernoulli::uniform_prior();
+        for i in 0..total {
+            m.observe(i < errors);
+        }
+        m
+    }
+
     #[test]
     fn nig_update_matches_closed_form() {
         // Single observation against the textbook one-step update.
-        let mut m = NormalInverseGamma::new(0.0, 1.0, 1.0, 1.0).unwrap();
+        let mut m = NormalInverseGamma::weak_prior(0.0, 1.0);
         m.observe(2.0);
-        assert!((m.posterior_mean() - 1.0).abs() < 1e-12); // (1·0 + 2)/2
-        assert!((m.effective_count() - 2.0).abs() < 1e-12);
+        assert!((m.mu - 1.0).abs() < 1e-12); // (1·0 + 2)/2
+        assert!((m.kappa - 2.0).abs() < 1e-12);
+        assert!((m.alpha - 1.5).abs() < 1e-12);
         // beta' = 1 + 0.5·(1·(2-0)²/2) = 2
-        assert!((m.posterior_variance_mean().unwrap() - 2.0 / 0.5).abs() < 1e-12);
+        assert!((m.beta - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -315,7 +216,7 @@ mod tests {
         for _ in 0..100 {
             m.observe_all(&[0.3, 0.31, 0.29]);
         }
-        assert!((m.posterior_mean() - 0.3).abs() < 0.01);
+        assert!((m.mu - 0.3).abs() < 0.01);
         // P(mean of future errors <= 0.35) should be near 1.
         assert!(m.prob_mean_below(0.35, 20).unwrap() > 0.99);
         // P(mean <= 0.25) near 0.
@@ -352,31 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn nig_invalid_params_rejected() {
-        assert!(NormalInverseGamma::new(0.0, 0.0, 1.0, 1.0).is_err());
-        assert!(NormalInverseGamma::new(0.0, 1.0, -1.0, 1.0).is_err());
-        assert!(NormalInverseGamma::new(0.0, 1.0, 1.0, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn nig_posterior_predictive_is_student_t() {
-        let mut m = NormalInverseGamma::weak_prior(0.0, 1.0);
-        m.observe_all(&[1.0, 2.0, 3.0]);
-        let t = m.posterior_predictive().unwrap();
-        assert!((t.cdf(m.posterior_mean()) - 0.5).abs() < 1e-10);
-    }
-
-    #[test]
     fn beta_bernoulli_update_counts() {
-        let mut m = BetaBernoulli::uniform_prior();
-        m.observe_counts(3, 10);
-        assert!((m.posterior_mean() - 4.0 / 12.0).abs() < 1e-12);
+        let m = observed(3, 10);
+        assert_eq!((m.alpha, m.beta), (4.0, 8.0));
         let mut s = BetaBernoulli::uniform_prior();
-        for _ in 0..3 {
-            s.observe(true);
-        }
         for _ in 0..7 {
             s.observe(false);
+        }
+        for _ in 0..3 {
+            s.observe(true);
         }
         assert_eq!(m, s);
     }
@@ -384,20 +269,14 @@ mod tests {
     #[test]
     fn beta_bernoulli_quality_probability_behaviour() {
         // Strong low-error evidence: quality probability near 1.
-        let mut good = BetaBernoulli::uniform_prior();
-        good.observe_counts(0, 50);
-        assert!(good.prob_error_rate_at_most(0.25, 36).unwrap() > 0.99);
-
+        assert!(observed(0, 50).prob_error_rate_at_most(0.25, 36).unwrap() > 0.99);
         // Strong high-error evidence: near 0.
-        let mut bad = BetaBernoulli::uniform_prior();
-        bad.observe_counts(40, 50);
-        assert!(bad.prob_error_rate_at_most(0.25, 36).unwrap() < 0.01);
+        assert!(observed(40, 50).prob_error_rate_at_most(0.25, 36).unwrap() < 0.01);
     }
 
     #[test]
     fn beta_bernoulli_monotone_in_k() {
-        let mut m = BetaBernoulli::uniform_prior();
-        m.observe_counts(2, 10);
+        let m = observed(2, 10);
         let mut prev = 0.0;
         for k in 0..=10 {
             let p = m.prob_error_count_at_most(k, 10).unwrap();
@@ -412,12 +291,5 @@ mod tests {
         let m = BetaBernoulli::uniform_prior();
         assert!(m.prob_error_rate_at_most(1.5, 10).is_err());
         assert!(m.prob_error_rate_at_most(-0.1, 10).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "errors cannot exceed total")]
-    fn beta_bernoulli_counts_invariant() {
-        let mut m = BetaBernoulli::uniform_prior();
-        m.observe_counts(5, 3);
     }
 }

@@ -13,15 +13,6 @@ pub enum StatsError {
         /// Human-readable description of the valid domain.
         expected: &'static str,
     },
-    /// Not enough data points for the requested statistic.
-    InsufficientData {
-        /// Statistic that was requested.
-        what: &'static str,
-        /// Number of points required.
-        needed: usize,
-        /// Number of points available.
-        got: usize,
-    },
 }
 
 impl fmt::Display for StatsError {
@@ -32,9 +23,6 @@ impl fmt::Display for StatsError {
                 value,
                 expected,
             } => write!(f, "invalid parameter {name}={value}, expected {expected}"),
-            StatsError::InsufficientData { what, needed, got } => {
-                write!(f, "{what} needs at least {needed} data points, got {got}")
-            }
         }
     }
 }

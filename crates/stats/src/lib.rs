@@ -1,29 +1,28 @@
 //! # drcell-stats — statistics substrate
 //!
-//! Special functions, probability distributions, descriptive statistics and
-//! Bayesian conjugate posteriors used by the Sparse-MCS quality-assessment
-//! pipeline ([leave-one-out Bayesian (ε, p)-quality], per Wang et al.
-//! CCS-TA / SPACE-TA and the DR-Cell paper §3 Definition 6).
+//! The Bayesian side of the leave-one-out (ε, p)-quality check (per Wang
+//! et al. CCS-TA / SPACE-TA and the DR-Cell paper §3 Definition 6), on
+//! plain `f64`:
 //!
-//! Everything is implemented from scratch on `f64`:
-//!
-//! * [`special`] — `erf`, `ln_gamma`, regularised incomplete beta/gamma.
-//! * [`dist`] — Normal, Student-t, Beta, Beta-Binomial.
-//! * [`describe`] — means, variances, quantiles, [`describe::Welford`].
-//! * [`bayes`] — [`bayes::NormalInverseGamma`] and [`bayes::BetaBernoulli`]
-//!   conjugate updates with posterior-predictive queries.
+//! * [`bayes`] — [`bayes::NormalInverseGamma`] (continuous metrics) and
+//!   [`bayes::BetaBernoulli`] (classification) conjugate updates, each
+//!   queried for the probability that the unsensed cells' error is ≤ ε.
+//! * [`dist`] — the two predictive distributions those queries evaluate:
+//!   Student-t and Beta-Binomial.
+//! * [`special`] — `ln_gamma`, `ln_beta` and the regularised incomplete
+//!   beta function behind their CDFs.
 //!
 //! ```
-//! use drcell_stats::dist::Normal;
+//! use drcell_stats::bayes::NormalInverseGamma;
 //!
-//! let n = Normal::standard();
-//! assert!((n.cdf(0.0) - 0.5).abs() < 1e-12);
+//! let mut m = NormalInverseGamma::weak_prior(0.5, 0.5);
+//! m.observe_all(&[0.2, 0.25, 0.3]);
+//! assert!(m.prob_mean_below(1.0, 10).unwrap() > 0.9);
 //! ```
 
 #![deny(missing_docs)]
 
 pub mod bayes;
-pub mod describe;
 pub mod dist;
 pub mod special;
 

@@ -1,38 +1,9 @@
-//! Special functions: error function, log-gamma, regularised incomplete
-//! gamma and beta functions.
+//! Special functions: log-gamma, log-beta and the regularised incomplete
+//! beta function.
 //!
 //! Implementations follow the classic Numerical-Recipes-style series /
 //! continued-fraction evaluations, accurate to ~1e-10 over the parameter
 //! ranges exercised by this workspace (small counts, probabilities).
-
-/// Error function `erf(x)`, computed through the regularised incomplete
-/// gamma function: `erf(x) = sign(x)·P(1/2, x²)` — accurate to ~1e-13.
-///
-/// ```
-/// let v = drcell_stats::special::erf(1.0);
-/// assert!((v - 0.8427007929497149).abs() < 1e-12);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let p = gamma_p(0.5, x * x);
-    if x > 0.0 {
-        p
-    } else {
-        -p
-    }
-}
-
-/// Complementary error function `erfc(x) = 1 - erf(x)`, computed without
-/// cancellation for large positive `x` via `Q(1/2, x²)`.
-pub fn erfc(x: f64) -> f64 {
-    if x >= 0.0 {
-        gamma_q(0.5, x * x)
-    } else {
-        1.0 + gamma_p(0.5, x * x)
-    }
-}
 
 /// Natural log of the gamma function, `ln Γ(x)` for `x > 0`
 /// (Lanczos approximation, g = 7, n = 9; ~15 significant digits).
@@ -79,72 +50,6 @@ pub fn ln_beta(a: f64, b: f64) -> f64 {
 
 const MAX_ITER: usize = 300;
 const EPS: f64 = 3e-14;
-
-/// Regularised lower incomplete gamma function `P(a, x)`.
-///
-/// # Panics
-///
-/// Panics if `a <= 0` or `x < 0`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "gamma_p requires a > 0");
-    assert!(x >= 0.0, "gamma_p requires x >= 0");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        // Series representation.
-        let mut ap = a;
-        let mut sum = 1.0 / a;
-        let mut del = sum;
-        for _ in 0..MAX_ITER {
-            ap += 1.0;
-            del *= x / ap;
-            sum += del;
-            if del.abs() < sum.abs() * EPS {
-                break;
-            }
-        }
-        sum * (-x + a * x.ln() - ln_gamma(a)).exp()
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
-}
-
-/// Regularised upper incomplete gamma function `Q(a, x) = 1 - P(a, x)`.
-///
-/// # Panics
-///
-/// Panics if `a <= 0` or `x < 0`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
-    1.0 - gamma_p(a, x)
-}
-
-/// Continued-fraction evaluation of `Q(a, x)`, valid for `x >= a + 1`.
-fn gamma_q_cf(a: f64, x: f64) -> f64 {
-    let mut b = x + 1.0 - a;
-    let mut c = 1.0 / 1e-300;
-    let mut d = 1.0 / b;
-    let mut h = d;
-    for i in 1..=MAX_ITER {
-        let an = -(i as f64) * (i as f64 - a);
-        b += 2.0;
-        d = an * d + b;
-        if d.abs() < 1e-300 {
-            d = 1e-300;
-        }
-        c = b + an / c;
-        if c.abs() < 1e-300 {
-            c = 1e-300;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < EPS {
-            break;
-        }
-    }
-    (-x + a * x.ln() - ln_gamma(a)).exp() * h
-}
 
 /// Regularised incomplete beta function `I_x(a, b)`.
 ///
@@ -230,28 +135,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn erf_known_values() {
-        assert!(erf(0.0).abs() < 1e-12);
-        assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
-        assert!((erf(3.0) - 0.9999779095).abs() < 1e-6);
-    }
-
-    #[test]
-    fn erf_is_odd() {
-        for x in [0.1, 0.5, 1.5, 2.5] {
-            assert!((erf(x) + erf(-x)).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn erfc_complements_erf() {
-        for x in [-2.0, -0.3, 0.0, 0.7, 2.2] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn ln_gamma_factorials() {
         // Γ(n) = (n-1)!
         let facts = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0];
@@ -271,33 +154,6 @@ mod tests {
     #[should_panic(expected = "x > 0")]
     fn ln_gamma_rejects_nonpositive() {
         ln_gamma(0.0);
-    }
-
-    #[test]
-    fn gamma_p_bounds_and_monotonicity() {
-        assert_eq!(gamma_p(2.0, 0.0), 0.0);
-        assert!(gamma_p(2.0, 50.0) > 0.999999);
-        let mut prev = 0.0;
-        for i in 1..20 {
-            let v = gamma_p(3.0, i as f64 * 0.5);
-            assert!(v >= prev);
-            prev = v;
-        }
-    }
-
-    #[test]
-    fn gamma_p_exponential_special_case() {
-        // P(1, x) = 1 - e^{-x}.
-        for x in [0.1, 1.0, 2.5, 7.0] {
-            assert!((gamma_p(1.0, x) - (1.0 - (-x).exp())).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn gamma_q_complements() {
-        for (a, x) in [(0.5, 0.3), (2.0, 2.0), (5.0, 10.0)] {
-            assert!((gamma_p(a, x) + gamma_q(a, x) - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

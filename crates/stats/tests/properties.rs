@@ -1,29 +1,12 @@
 //! Property-based tests of the statistics substrate.
 
 use drcell_stats::bayes::{BetaBernoulli, NormalInverseGamma};
-use drcell_stats::describe::{self, Welford};
-use drcell_stats::dist::{Beta, BetaBinomial, Normal, StudentT};
-use drcell_stats::special::{beta_inc, erf, erfc, gamma_p, gamma_q, ln_gamma};
+use drcell_stats::dist::{BetaBinomial, StudentT};
+use drcell_stats::special::{beta_inc, ln_gamma};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
-
-    #[test]
-    fn erf_bounded_and_odd(x in -6.0f64..6.0) {
-        let v = erf(x);
-        prop_assert!((-1.0..=1.0).contains(&v));
-        prop_assert!((v + erf(-x)).abs() < 1e-12);
-        prop_assert!((v + erfc(x) - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn gamma_p_q_complementary(a in 0.1f64..20.0, x in 0.0f64..50.0) {
-        let p = gamma_p(a, x);
-        let q = gamma_q(a, x);
-        prop_assert!((0.0..=1.0).contains(&p));
-        prop_assert!((p + q - 1.0).abs() < 1e-9);
-    }
 
     #[test]
     fn ln_gamma_recurrence(x in 0.5f64..30.0) {
@@ -40,18 +23,6 @@ proptest! {
         let v2 = beta_inc(a, b, x2);
         prop_assert!((0.0..=1.0).contains(&v1));
         prop_assert!(v2 >= v1 - 1e-10);
-    }
-
-    #[test]
-    fn normal_cdf_monotone(mean in -10.0f64..10.0, sd in 0.1f64..5.0, a in -20.0f64..20.0, d in 0.0f64..10.0) {
-        let n = Normal::new(mean, sd).unwrap();
-        prop_assert!(n.cdf(a + d) >= n.cdf(a) - 1e-12);
-    }
-
-    #[test]
-    fn normal_quantile_roundtrip(mean in -5.0f64..5.0, sd in 0.1f64..3.0, p in 0.01f64..0.99) {
-        let n = Normal::new(mean, sd).unwrap();
-        prop_assert!((n.cdf(n.quantile(p)) - p).abs() < 1e-8);
     }
 
     #[test]
@@ -76,22 +47,6 @@ proptest! {
     }
 
     #[test]
-    fn beta_mean_between_zero_one(a in 0.1f64..20.0, b in 0.1f64..20.0) {
-        let beta = Beta::new(a, b).unwrap();
-        prop_assert!((0.0..1.0).contains(&beta.mean()));
-        prop_assert!((beta.cdf(beta.mean()) - 0.5).abs() < 0.5); // mean near median
-    }
-
-    #[test]
-    fn welford_matches_batch_for_any_data(xs in proptest::collection::vec(-1e3f64..1e3, 2..60)) {
-        let w: Welford = xs.iter().copied().collect();
-        let m = describe::mean(&xs).unwrap();
-        let v = describe::variance(&xs).unwrap();
-        prop_assert!((w.mean() - m).abs() < 1e-6 * m.abs().max(1.0));
-        prop_assert!((w.sample_variance().unwrap() - v).abs() < 1e-6 * v.max(1.0));
-    }
-
-    #[test]
     fn nig_probability_monotone_in_data_quality(
         scale in 0.05f64..0.5,
         n_future in 1usize..40,
@@ -110,19 +65,13 @@ proptest! {
     #[test]
     fn beta_bernoulli_monotone_in_errors(errors in 0usize..20, total in 20usize..40) {
         let mut worse = BetaBernoulli::uniform_prior();
-        worse.observe_counts(errors.min(total), total);
         let mut better = BetaBernoulli::uniform_prior();
-        better.observe_counts(0, total);
+        for i in 0..total {
+            worse.observe(i < errors);
+            better.observe(false);
+        }
         let p_better = better.prob_error_rate_at_most(0.25, 36).unwrap();
         let p_worse = worse.prob_error_rate_at_most(0.25, 36).unwrap();
         prop_assert!(p_better >= p_worse - 1e-12);
-    }
-
-    #[test]
-    fn quantiles_ordered(xs in proptest::collection::vec(-100.0f64..100.0, 2..40)) {
-        let q25 = describe::quantile(&xs, 0.25).unwrap();
-        let q50 = describe::quantile(&xs, 0.5).unwrap();
-        let q75 = describe::quantile(&xs, 0.75).unwrap();
-        prop_assert!(q25 <= q50 && q50 <= q75);
     }
 }

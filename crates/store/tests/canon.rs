@@ -145,9 +145,9 @@ proptest! {
         prop_assert_eq!(scenario_key(&reparsed, 0), scenario_key(&explicit, 0));
     }
 
-    /// `inner_threads` sizes the worker pool, never the result bytes
-    /// (bit-identical parallelism is CI-pinned) — so it must not split
-    /// the cache entry.
+    /// `inner_threads` is parsed and ignored (a scenario is
+    /// single-threaded), so it never changes the result bytes and must
+    /// not split the cache entry.
     #[test]
     fn execution_sizing_never_splits_an_entry(seed in any::<u64>(), threads in 1usize..9) {
         let base = tiny_base(seed);

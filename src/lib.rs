@@ -4,7 +4,10 @@
 //! Mobile Crowdsensing* (DR-Cell, Wang et al., ICDCS 2018).
 //!
 //! This crate re-exports the workspace members under stable module names so an
-//! application can depend on a single crate:
+//! application can depend on a single crate. The learner is the paper's
+//! Algorithm 2 — a DRQN (`rl`, `neural`) trained offline by `core` — and the
+//! stop rule is the leave-one-out Bayesian (ε, p) check (`quality`, `stats`)
+//! over ALS completion (`inference`):
 //!
 //! ```
 //! use drcell::datasets::SensorScopeConfig;

@@ -1,11 +1,11 @@
-//! Integration tests of the future-work extensions: online learning through
-//! the real runner, heterogeneous costs, and checkpointing.
+//! Integration test of the online-learning extension through the real
+//! runner.
 
 use drcell::core::{
-    CostModel, OnlineDrCellConfig, OnlineDrCellPolicy, RunnerConfig, SensingTask, SparseMcsRunner,
+    OnlineDrCellConfig, OnlineDrCellPolicy, RunnerConfig, SensingTask, SparseMcsRunner,
 };
 use drcell::datasets::{CellGrid, DataMatrix};
-use drcell::neural::{persist, Adam, Parameterized};
+use drcell::neural::Adam;
 use drcell::quality::{ErrorMetric, QualityRequirement};
 use drcell::rl::{DqnAgent, DqnConfig, DrqnQNetwork};
 use rand::rngs::StdRng;
@@ -68,63 +68,4 @@ fn online_policy_runs_and_accumulates_experience() {
     assert_eq!(policy.selections_made(), report.total_selections());
     // With >16 experiences some training must have happened.
     assert!(policy.agent().train_steps() > 0);
-}
-
-#[test]
-fn online_policy_checkpoint_roundtrip_after_run() {
-    let task = small_task();
-    let runner = SparseMcsRunner::new(
-        &task,
-        RunnerConfig {
-            window: 6,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut policy = OnlineDrCellPolicy::new(
-        fresh_agent(task.cells(), 3),
-        OnlineDrCellConfig::for_task(task.cells(), 0.9),
-    )
-    .unwrap();
-    let mut rng = StdRng::seed_from_u64(4);
-    let _ = runner.run(&mut policy, &mut rng).unwrap();
-
-    // Persist the improved network and restore it into a fresh agent.
-    let checkpoint = persist::to_text(policy.agent().network());
-    let mut restored = fresh_agent(task.cells(), 5);
-    let mut net = restored.network().clone();
-    persist::from_text(&mut net, &checkpoint).unwrap();
-    restored.import_params(&net.params());
-    assert_eq!(
-        restored.export_params(),
-        policy.agent().export_params(),
-        "restored agent must match the trained one"
-    );
-}
-
-#[test]
-fn cost_model_prices_a_real_run() {
-    let task = small_task();
-    let runner = SparseMcsRunner::new(
-        &task,
-        RunnerConfig {
-            window: 6,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut rng = StdRng::seed_from_u64(6);
-    let report = runner
-        .run(&mut drcell::core::RandomPolicy::new(), &mut rng)
-        .unwrap();
-    let uniform = CostModel::uniform(task.cells(), 1.0).unwrap();
-    assert_eq!(
-        uniform.price_report(&report).unwrap(),
-        report.total_selections() as f64
-    );
-    let double = CostModel::uniform(task.cells(), 2.0).unwrap();
-    assert_eq!(
-        double.price_report(&report).unwrap(),
-        2.0 * report.total_selections() as f64
-    );
 }
