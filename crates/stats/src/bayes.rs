@@ -253,6 +253,21 @@ mod tests {
     }
 
     #[test]
+    fn nig_posterior_predictive_is_student_t() {
+        // For one future observation the query is the posterior predictive
+        // Student-t: 2α d.o.f., location μ, scale sqrt(β(κ+1)/(ακ)).
+        let mut m = NormalInverseGamma::weak_prior(0.0, 1.0);
+        m.observe_all(&[1.0, 2.0, 3.0]);
+        let scale = (m.beta * (m.kappa + 1.0) / (m.alpha * m.kappa)).sqrt();
+        let t = StudentT::new(2.0 * m.alpha, m.mu, scale).unwrap();
+        for x in [-1.0, 0.5, m.mu, 2.0, 4.0] {
+            let p = m.prob_mean_below(x, 1).unwrap();
+            assert!((p - t.cdf(x)).abs() < 1e-12, "x={x}");
+        }
+        assert!((m.prob_mean_below(m.mu, 1).unwrap() - 0.5).abs() < 1e-10);
+    }
+
+    #[test]
     fn beta_bernoulli_update_counts() {
         let m = observed(3, 10);
         assert_eq!((m.alpha, m.beta), (4.0, 8.0));

@@ -139,6 +139,43 @@ mod tests {
     }
 
     #[test]
+    fn beta_cdf_bounds_and_mean() {
+        // The Beta(a, b) CDF is the regularised incomplete beta I_x(a, b);
+        // its mean is ∫₀¹ (1 − F(x)) dx (Simpson's rule).
+        let (a, b) = (2.0, 5.0);
+        assert_eq!(beta_inc(a, b, 0.0), 0.0);
+        assert_eq!(beta_inc(a, b, 1.0), 1.0);
+        let steps = 1000;
+        let h = 1.0 / steps as f64;
+        let mean: f64 = (0..=steps)
+            .map(|i| {
+                let w = if i == 0 || i == steps {
+                    1.0
+                } else if i % 2 == 1 {
+                    4.0
+                } else {
+                    2.0
+                };
+                w * (1.0 - beta_inc(a, b, i as f64 * h))
+            })
+            .sum::<f64>()
+            * h
+            / 3.0;
+        assert!((mean - 2.0 / 7.0).abs() < 1e-9, "mean {mean}");
+    }
+
+    #[test]
+    fn beta_uniform_case() {
+        // Beta(1, 1) is uniform: CDF x, density 1.
+        let h = 1e-6;
+        for x in [0.2, 0.5, 0.9] {
+            assert!((beta_inc(1.0, 1.0, x) - x).abs() < 1e-10);
+            let pdf = (beta_inc(1.0, 1.0, x + h) - beta_inc(1.0, 1.0, x - h)) / (2.0 * h);
+            assert!((pdf - 1.0).abs() < 1e-6, "x={x}: pdf {pdf}");
+        }
+    }
+
+    #[test]
     fn beta_binomial_pmf_sums_to_one() {
         let bb = BetaBinomial::new(10, 2.0, 3.0).unwrap();
         let total: f64 = (0..=10).map(|k| bb.pmf(k)).sum();
@@ -153,6 +190,17 @@ mod tests {
         for k in 0..=4 {
             assert!((bb.pmf(k) - 0.2).abs() < 1e-10, "k={k}");
         }
+    }
+
+    #[test]
+    fn beta_binomial_mean() {
+        // E[X] = n·α/(α+β) = 6, both as Σ k·pmf(k) and as the tail sum
+        // Σ_{k<n} P(X > k).
+        let bb = BetaBinomial::new(20, 3.0, 7.0).unwrap();
+        let by_pmf: f64 = (0..=20).map(|k| k as f64 * bb.pmf(k)).sum();
+        let by_cdf: f64 = (0..20).map(|k| 1.0 - bb.cdf(k)).sum();
+        assert!((by_pmf - 6.0).abs() < 1e-10, "{by_pmf}");
+        assert!((by_cdf - 6.0).abs() < 1e-10, "{by_cdf}");
     }
 
     #[test]

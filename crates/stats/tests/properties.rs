@@ -47,6 +47,14 @@ proptest! {
     }
 
     #[test]
+    fn beta_mean_between_zero_one(a in 0.1f64..20.0, b in 0.1f64..20.0) {
+        // Beta(a, b) has mean a/(a+b) and CDF I_x(a, b).
+        let mean = a / (a + b);
+        prop_assert!((0.0..1.0).contains(&mean));
+        prop_assert!((beta_inc(a, b, mean) - 0.5).abs() < 0.5); // mean near median
+    }
+
+    #[test]
     fn nig_probability_monotone_in_data_quality(
         scale in 0.05f64..0.5,
         n_future in 1usize..40,

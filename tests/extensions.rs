@@ -5,6 +5,7 @@ use drcell::core::{
     OnlineDrCellConfig, OnlineDrCellPolicy, RunnerConfig, SensingTask, SparseMcsRunner,
 };
 use drcell::datasets::{CellGrid, DataMatrix};
+use drcell::linalg::Matrix;
 use drcell::neural::Adam;
 use drcell::quality::{ErrorMetric, QualityRequirement};
 use drcell::rl::{DqnAgent, DqnConfig, DrqnQNetwork};
@@ -68,4 +69,42 @@ fn online_policy_runs_and_accumulates_experience() {
     assert_eq!(policy.selections_made(), report.total_selections());
     // With >16 experiences some training must have happened.
     assert!(policy.agent().train_steps() > 0);
+}
+
+#[test]
+fn online_policy_checkpoint_roundtrip_after_run() {
+    let task = small_task();
+    let runner = SparseMcsRunner::new(
+        &task,
+        RunnerConfig {
+            window: 6,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut policy = OnlineDrCellPolicy::new(
+        fresh_agent(task.cells(), 3),
+        OnlineDrCellConfig::for_task(task.cells(), 0.9),
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(4);
+    let _ = runner.run(&mut policy, &mut rng).unwrap();
+    assert!(policy.agent().train_steps() > 0);
+
+    // Checkpoint the improved parameters and restore them into a fresh agent.
+    let checkpoint = policy.agent().export_params();
+    let mut restored = fresh_agent(task.cells(), 5);
+    assert_ne!(restored.export_params(), checkpoint);
+    restored.import_params(&checkpoint);
+    assert_eq!(
+        restored.export_params(),
+        checkpoint,
+        "restored agent must match the trained one"
+    );
+    let state = Matrix::from_fn(3, task.cells(), |i, j| ((i + j) % 2) as f64);
+    assert_eq!(
+        restored.q_values(&state),
+        policy.agent().q_values(&state),
+        "restored agent must score states like the trained one"
+    );
 }
