@@ -129,7 +129,7 @@ impl InferenceAlgorithm for CompressiveSensing {
         let data = AlsData::build(obs, self.config.rank)?;
         let problem = data.problem(self.effective_lambda(data.variance()));
         let (mut u, mut v) = self.cold_factors(data.m, data.n, data.r);
-        let mut scratch = als::AlsScratch::new(data.r);
+        let mut scratch = als::AlsScratch::new(&data);
         als::run_sweeps(
             &problem,
             &mut u,

@@ -36,6 +36,7 @@ fn simd_ok(kind: BackendKind, r: usize) -> bool {
 /// # Panics
 ///
 /// Panics (debug) on inconsistent lengths.
+#[inline]
 pub fn gram_rhs_update(kind: BackendKind, gram: &mut [f64], rhs: &mut [f64], d: f64, vt: &[f64]) {
     let r = rhs.len();
     debug_assert_eq!(vt.len(), r);
@@ -55,28 +56,22 @@ pub fn gram_rhs_update(kind: BackendKind, gram: &mut [f64], rhs: &mut [f64], d: 
     }
 }
 
-/// One observation of the LOO shared-cache build: `rhs[a] += x·vt[a]`,
-/// `vsum[a] += vt[a]`, `gram[a·r + b] += vt[a]·vt[b]`.
-pub fn gram_rhs_vsum_update(
-    kind: BackendKind,
-    gram: &mut [f64],
-    rhs: &mut [f64],
-    vsum: &mut [f64],
-    x: f64,
-    vt: &[f64],
-) {
-    let r = rhs.len();
-    debug_assert!(vt.len() == r && vsum.len() == r && gram.len() == r * r);
+/// One observation folded into a Gram matrix alone:
+/// `gram[a·r + b] += vt[a]·vt[b]` — the Gram half of
+/// [`gram_rhs_update`], element for element. ALS rows that share an
+/// observation pattern build their common Gram with this once.
+#[inline]
+pub fn gram_update(kind: BackendKind, gram: &mut [f64], vt: &[f64]) {
+    let r = vt.len();
+    debug_assert_eq!(gram.len(), r * r);
     #[cfg(target_arch = "x86_64")]
     if simd_ok(kind, r) {
         // SAFETY: the Simd backend is only selectable on AVX2 hosts.
-        unsafe { crate::simd::gram_rhs_vsum_update(gram, rhs, vsum, x, vt) };
+        unsafe { crate::simd::gram_update(gram, vt) };
         return;
     }
     let _ = kind;
     for a in 0..r {
-        rhs[a] += x * vt[a];
-        vsum[a] += vt[a];
         for b in 0..r {
             gram[a * r + b] += vt[a] * vt[b];
         }
@@ -88,6 +83,7 @@ pub fn gram_rhs_vsum_update(
 /// `rhs[a] = rhs_raw[a] - x·vb[a] - mean1·(vsum[a] - vb[a])`,
 /// `gram[a·r + b] -= vb[a]·vb[b]`.
 #[allow(clippy::too_many_arguments)]
+#[inline]
 pub fn downdate_rank1(
     kind: BackendKind,
     gram: &mut [f64],
@@ -115,34 +111,22 @@ pub fn downdate_rank1(
     }
 }
 
-/// LOO rank-2 cache correction (base factor `vb` out, refined factor
-/// `vt` in) with the exact mean shift:
-/// `rhs[a] = rhs_raw[a] - xi·vb[a] + xi·vt[a] - mean1·(vsum[a] - vb[a] + vt[a])`,
-/// `gram[a·r + b] += vt[a]·vt[b] - vb[a]·vb[b]`.
-#[allow(clippy::too_many_arguments)]
-pub fn correct_rank2(
-    kind: BackendKind,
-    gram: &mut [f64],
-    rhs: &mut [f64],
-    rhs_raw: &[f64],
-    vsum: &[f64],
-    xi: f64,
-    mean1: f64,
-    vb: &[f64],
-    vt: &[f64],
-) {
-    let r = rhs.len();
-    debug_assert!(rhs_raw.len() == r && vsum.len() == r && vb.len() == r && vt.len() == r);
-    debug_assert_eq!(gram.len(), r * r);
+/// LOO rank-2 Gram correction (base factor `vb` out, refined factor `vt`
+/// in): `gram[a·r + b] += vt[a]·vt[b] - vb[a]·vb[b]`. The matching
+/// right-hand side depends on the row's own observations, so the caller
+/// computes it per row while rows of one pattern share the Gram.
+#[inline]
+pub fn correct_rank2(kind: BackendKind, gram: &mut [f64], vb: &[f64], vt: &[f64]) {
+    let r = vt.len();
+    debug_assert!(vb.len() == r && gram.len() == r * r);
     #[cfg(target_arch = "x86_64")]
     if simd_ok(kind, r) {
         // SAFETY: the Simd backend is only selectable on AVX2 hosts.
-        unsafe { crate::simd::correct_rank2(gram, rhs, rhs_raw, vsum, xi, mean1, vb, vt) };
+        unsafe { crate::simd::correct_rank2(gram, vb, vt) };
         return;
     }
     let _ = kind;
     for a in 0..r {
-        rhs[a] = rhs_raw[a] - xi * vb[a] + xi * vt[a] - mean1 * (vsum[a] - vb[a] + vt[a]);
         for b in 0..r {
             gram[a * r + b] += vt[a] * vt[b] - vb[a] * vb[b];
         }
@@ -187,6 +171,7 @@ pub fn relu_grad_fuse(kind: BackendKind, dz: &mut [f64], d_post: &[f64], pre: &[
 
 /// `acc[i] += src[i]` — the dense-layer bias column reduction (one call
 /// per sample row, preserving the scalar path's sample order).
+#[inline]
 pub fn add_assign(kind: BackendKind, acc: &mut [f64], src: &[f64]) {
     debug_assert_eq!(acc.len(), src.len());
     #[cfg(target_arch = "x86_64")]

@@ -209,6 +209,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
@@ -219,6 +220,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
@@ -540,6 +542,7 @@ impl Default for Matrix {
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
 
+    #[inline]
     fn index(&self, (r, c): (usize, usize)) -> &f64 {
         assert!(
             r < self.rows && c < self.cols,
@@ -550,6 +553,7 @@ impl Index<(usize, usize)> for Matrix {
 }
 
 impl IndexMut<(usize, usize)> for Matrix {
+    #[inline]
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
         assert!(
             r < self.rows && c < self.cols,

@@ -275,30 +275,17 @@ pub(crate) unsafe fn add_assign(acc: &mut [f64], src: &[f64]) {
     }
 }
 
-/// `sum[i] += vt[i]` and `rhs[i] += x · vt[i]` and gram row updates — one
-/// observation of the LOO cache build:
-/// `rhs += x·vt`, `vsum += vt`, `gram[a][·] += vt[a]·vt`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn gram_rhs_vsum_update(
-    gram: &mut [f64],
-    rhs: &mut [f64],
-    vsum: &mut [f64],
-    x: f64,
-    vt: &[f64],
-) {
-    let r = rhs.len();
-    axpy(rhs, x, vt);
-    add_assign(vsum, vt);
-    for a in 0..r {
-        axpy(&mut gram[a * r..(a + 1) * r], vt[a], vt);
-    }
-}
-
 /// One ALS observation: `rhs += d·vt`, `gram[a][·] += vt[a]·vt`.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn gram_rhs_update(gram: &mut [f64], rhs: &mut [f64], d: f64, vt: &[f64]) {
-    let r = rhs.len();
     axpy(rhs, d, vt);
+    gram_update(gram, vt);
+}
+
+/// The Gram half alone: `gram[a][·] += vt[a]·vt`.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn gram_update(gram: &mut [f64], vt: &[f64]) {
+    let r = vt.len();
     for a in 0..r {
         axpy(&mut gram[a * r..(a + 1) * r], vt[a], vt);
     }
@@ -342,42 +329,11 @@ pub(crate) unsafe fn downdate_rank1(
     }
 }
 
-/// LOO rank-2 cache correction for rows observed at the assessed cycle:
-/// `rhs[a] = rhs_raw[a] - xi·vb[a] + xi·vt[a] - mean1·(vsum[a] - vb[a] + vt[a])`
-/// and `gram[a][b] += vt[a]·vt[b] - vb[a]·vb[b]`.
+/// LOO rank-2 Gram correction for rows observed at the assessed cycle:
+/// `gram[a][b] += vt[a]·vt[b] - vb[a]·vb[b]`.
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn correct_rank2(
-    gram: &mut [f64],
-    rhs: &mut [f64],
-    rhs_raw: &[f64],
-    vsum: &[f64],
-    xi: f64,
-    mean1: f64,
-    vb: &[f64],
-    vt: &[f64],
-) {
-    let r = rhs.len();
-    let xv = _mm256_set1_pd(xi);
-    let mv = _mm256_set1_pd(mean1);
-    let mut a = 0;
-    while a + 4 <= r {
-        let raw = _mm256_loadu_pd(rhs_raw.as_ptr().add(a));
-        let vbv = _mm256_loadu_pd(vb.as_ptr().add(a));
-        let vtv = _mm256_loadu_pd(vt.as_ptr().add(a));
-        let sv = _mm256_loadu_pd(vsum.as_ptr().add(a));
-        // ((rhs_raw - xi·vb) + xi·vt) - mean1·((vsum - vb) + vt).
-        let t = _mm256_sub_pd(raw, _mm256_mul_pd(xv, vbv));
-        let t = _mm256_add_pd(t, _mm256_mul_pd(xv, vtv));
-        let inner = _mm256_add_pd(_mm256_sub_pd(sv, vbv), vtv);
-        let t = _mm256_sub_pd(t, _mm256_mul_pd(mv, inner));
-        _mm256_storeu_pd(rhs.as_mut_ptr().add(a), t);
-        a += 4;
-    }
-    while a < r {
-        rhs[a] = rhs_raw[a] - xi * vb[a] + xi * vt[a] - mean1 * (vsum[a] - vb[a] + vt[a]);
-        a += 1;
-    }
+pub(crate) unsafe fn correct_rank2(gram: &mut [f64], vb: &[f64], vt: &[f64]) {
+    let r = vt.len();
     for a in 0..r {
         let row = &mut gram[a * r..(a + 1) * r];
         let tav = _mm256_set1_pd(vt[a]);

@@ -1,26 +1,24 @@
-//! The in-place SPD solver at the core of the ALS sweeps.
+//! The in-place SPD solver at the core of the ALS sweeps, in two halves:
+//! [`factor_spd_in_place`] (Cholesky) and [`solve_factored`] (the two
+//! triangular solves). ALS rows that share an observation pattern share
+//! one factor and run only the second half each.
 
 use crate::{LinalgError, Matrix};
 
-/// Allocation-free Cholesky solve of `A·x = b` for symmetric
-/// positive-definite `A`: factorises `a` in place (its lower triangle is
-/// overwritten with `L`; the strict upper triangle is left untouched) and
-/// overwrites `b` with the solution.
+/// Allocation-free Cholesky factorisation of a symmetric positive-definite
+/// `a` in place: its lower triangle is overwritten with `L` (`A = L·Lᵀ`);
+/// the strict upper triangle is left untouched.
 ///
 /// The arithmetic — elimination order, every intermediate product — is
-/// exactly [`crate::decomp::Cholesky::new`] followed by
-/// [`crate::decomp::Cholesky::solve`], so the solution is **bit-identical**
-/// to the allocating factorisation. This is the per-row kernel of the ALS
-/// sweeps, where the caller owns a reusable Gram/rhs scratch and must not
-/// allocate per row.
+/// exactly [`crate::decomp::Cholesky::new`], so the factor is
+/// **bit-identical** to the allocating one.
 ///
 /// # Errors
 ///
-/// * [`LinalgError::ShapeMismatch`] if `a` is not square or `b.len()` does
-///   not match; `a` and `b` are untouched in this case.
+/// * [`LinalgError::ShapeMismatch`] if `a` is not square; `a` is untouched.
 /// * [`LinalgError::NotPositiveDefinite`] on a non-positive pivot; `a` is
 ///   partially overwritten.
-pub fn solve_spd_in_place(a: &mut Matrix, b: &mut [f64]) -> Result<(), LinalgError> {
+pub fn factor_spd_in_place(a: &mut Matrix) -> Result<(), LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::ShapeMismatch {
             op: "cholesky",
@@ -29,16 +27,9 @@ pub fn solve_spd_in_place(a: &mut Matrix, b: &mut [f64]) -> Result<(), LinalgErr
         });
     }
     let n = a.rows();
-    if b.len() != n {
-        return Err(LinalgError::ShapeMismatch {
-            op: "cholesky_solve",
-            lhs: (n, n),
-            rhs: (b.len(), 1),
-        });
-    }
-    // In-place Cholesky: column j's entries are read before they are
-    // overwritten, and already-final columns k < j are read exactly where
-    // `Cholesky::new` reads its `l` — same values, same order.
+    // Column j's entries are read before they are overwritten, and
+    // already-final columns k < j are read exactly where `Cholesky::new`
+    // reads its `l` — same values, same order.
     for j in 0..n {
         let mut d = a[(j, j)];
         for k in 0..j {
@@ -57,20 +48,64 @@ pub fn solve_spd_in_place(a: &mut Matrix, b: &mut [f64]) -> Result<(), LinalgErr
             a[(i, j)] = s / dj;
         }
     }
-    // Forward solve L·y = b, then back solve Lᵀ·x = y, in place.
+    Ok(())
+}
+
+/// Solves `L·Lᵀ·x = b` in place against a factor `l` from
+/// [`factor_spd_in_place`] (only its lower triangle is read): forward
+/// solve `L·y = b`, then back solve `Lᵀ·x = y`, in the order of
+/// [`crate::decomp::Cholesky::solve`].
+///
+/// # Errors
+///
+/// [`LinalgError::ShapeMismatch`] if `l` is not square or `b.len()` does
+/// not match; `b` is untouched in this case.
+pub fn solve_factored(l: &Matrix, b: &mut [f64]) -> Result<(), LinalgError> {
+    let n = l.rows();
+    if !l.is_square() || b.len() != n {
+        return Err(LinalgError::ShapeMismatch {
+            op: "cholesky_solve",
+            lhs: l.shape(),
+            rhs: (b.len(), 1),
+        });
+    }
     for i in 0..n {
         for k in 0..i {
-            b[i] -= a[(i, k)] * b[k];
+            b[i] -= l[(i, k)] * b[k];
         }
-        b[i] /= a[(i, i)];
+        b[i] /= l[(i, i)];
     }
     for i in (0..n).rev() {
         for k in (i + 1)..n {
-            b[i] -= a[(k, i)] * b[k];
+            b[i] -= l[(k, i)] * b[k];
         }
-        b[i] /= a[(i, i)];
+        b[i] /= l[(i, i)];
     }
     Ok(())
+}
+
+/// Allocation-free Cholesky solve of `A·x = b`: [`factor_spd_in_place`]
+/// on `a`, then [`solve_factored`] overwriting `b` with the solution —
+/// **bit-identical** to [`crate::decomp::Cholesky::new`] followed by
+/// [`crate::decomp::Cholesky::solve`].
+///
+/// # Errors
+///
+/// * [`LinalgError::ShapeMismatch`] if `a` is not square or `b.len()` does
+///   not match; `a` and `b` are untouched in this case.
+/// * [`LinalgError::NotPositiveDefinite`] on a non-positive pivot; `a` is
+///   partially overwritten.
+pub fn solve_spd_in_place(a: &mut Matrix, b: &mut [f64]) -> Result<(), LinalgError> {
+    if a.is_square() && b.len() != a.rows() {
+        let n = a.rows();
+        return Err(LinalgError::ShapeMismatch {
+            op: "cholesky_solve",
+            lhs: (n, n),
+            rhs: (b.len(), 1),
+        });
+    }
+    factor_spd_in_place(a)?;
+    solve_factored(a, b)
 }
 
 #[cfg(test)]
@@ -103,6 +138,28 @@ mod tests {
             solve_spd_in_place(&mut a_work, &mut x).unwrap();
             assert_eq!(x, want, "n = {n}: in-place SPD solve diverged");
         }
+    }
+
+    #[test]
+    fn one_factor_serves_every_right_hand_side_bit_for_bit() {
+        // The ALS pattern sharing factors a Gram once and solves each row
+        // against it; every solve must equal a fresh full solve.
+        let g = Matrix::from_fn(6, 4, |i, j| ((i * 7 + j * 3) % 5) as f64 - 1.7);
+        let mut a = g.gram();
+        for i in 0..4 {
+            a[(i, i)] += 0.3;
+        }
+        let mut l = a.clone();
+        factor_spd_in_place(&mut l).unwrap();
+        for seed in 0..5 {
+            let b: Vec<f64> = (0..4).map(|i| (i + seed) as f64 * 0.37 - 0.5).collect();
+            let mut shared = b.clone();
+            solve_factored(&l, &mut shared).unwrap();
+            let mut fresh = b.clone();
+            solve_spd_in_place(&mut a.clone(), &mut fresh).unwrap();
+            assert_eq!(shared, fresh, "rhs {seed}");
+        }
+        assert!(solve_factored(&l, &mut [1.0]).is_err());
     }
 
     #[test]

@@ -22,6 +22,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
+#[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (yi, xi) in y.iter_mut().zip(x) {

@@ -192,26 +192,27 @@ proptest! {
         }
     }
 
-    /// The LOO shared-cache build (`rhs += x·v`, `vsum += v`, `gram += v·vᵀ`).
+    /// The Gram-only accumulation (`gram += v·vᵀ`) the ALS pattern sharing
+    /// builds one Gram per observation pattern with; it must also equal
+    /// the Gram half of the fused `gram_rhs_update` bit for bit.
     #[test]
-    fn gram_rhs_vsum_update_bitwise(r in 0usize..10, obs in 0usize..12, seed in 0u64..1000) {
-        if let Some(simd) = simd_kind() {
-            let mut gram_s = vec![0.0; r * r];
-            let mut rhs_s = vec![0.0; r];
-            let mut vsum_s = vec![0.0; r];
-            let (mut gram_v, mut rhs_v, mut vsum_v) =
-                (gram_s.clone(), rhs_s.clone(), vsum_s.clone());
-            for o in 0..obs {
-                let x = fill(1, seed + 2 + o as u64, false)[0];
-                let vt = fill(r, seed + 100 + o as u64, o % 4 == 0);
-                kernels::gram_rhs_vsum_update(
-                    BackendKind::Scalar, &mut gram_s, &mut rhs_s, &mut vsum_s, x, &vt,
-                );
-                kernels::gram_rhs_vsum_update(simd, &mut gram_v, &mut rhs_v, &mut vsum_v, x, &vt);
+    fn gram_update_bitwise(r in 0usize..10, obs in 0usize..12, seed in 0u64..1000) {
+        let mut gram_s = fill(r * r, seed, false);
+        let mut gram_fused = gram_s.clone();
+        let mut rhs_fused = vec![0.0; r];
+        let mut gram_v = gram_s.clone();
+        let simd = simd_kind();
+        for o in 0..obs {
+            let vt = fill(r, seed + 100 + o as u64, o % 3 == 0);
+            kernels::gram_update(BackendKind::Scalar, &mut gram_s, &vt);
+            kernels::gram_rhs_update(BackendKind::Scalar, &mut gram_fused, &mut rhs_fused, 0.5, &vt);
+            if let Some(simd) = simd {
+                kernels::gram_update(simd, &mut gram_v, &vt);
             }
-            assert_bits_match(&gram_s, &gram_v, "vsum_update gram");
-            assert_bits_match(&rhs_s, &rhs_v, "vsum_update rhs");
-            assert_bits_match(&vsum_s, &vsum_v, "vsum_update vsum");
+        }
+        assert_bits_match(&gram_s, &gram_fused, "gram_update vs gram_rhs_update gram");
+        if simd.is_some() {
+            assert_bits_match(&gram_s, &gram_v, "gram_update gram");
         }
     }
 
@@ -238,29 +239,18 @@ proptest! {
         }
     }
 
-    /// The LOO rank-2 cache correction (base factor out, refined in).
+    /// The LOO rank-2 Gram correction (base factor out, refined in).
     #[test]
     fn correct_rank2_bitwise(r in 0usize..10, seed in 0u64..1000, specials_sel in 0u8..2) {
         if let Some(simd) = simd_kind() {
             let specials = specials_sel == 1;
-            let rhs_raw = fill(r, seed, specials);
-            let vsum = fill(r, seed + 1, specials);
             let vb = fill(r, seed + 2, specials);
             let vt = fill(r, seed + 3, specials);
-            let xi = fill(1, seed + 4, false)[0];
-            let mean1 = fill(1, seed + 5, false)[0];
             let mut gram_s = fill(r * r, seed + 6, specials);
-            let mut rhs_s = vec![0.0; r];
             let mut gram_v = gram_s.clone();
-            let mut rhs_v = rhs_s.clone();
-            kernels::correct_rank2(
-                BackendKind::Scalar, &mut gram_s, &mut rhs_s, &rhs_raw, &vsum, xi, mean1, &vb, &vt,
-            );
-            kernels::correct_rank2(
-                simd, &mut gram_v, &mut rhs_v, &rhs_raw, &vsum, xi, mean1, &vb, &vt,
-            );
+            kernels::correct_rank2(BackendKind::Scalar, &mut gram_s, &vb, &vt);
+            kernels::correct_rank2(simd, &mut gram_v, &vb, &vt);
             assert_bits_match(&gram_s, &gram_v, "correct_rank2 gram");
-            assert_bits_match(&rhs_s, &rhs_v, "correct_rank2 rhs");
         }
     }
 

@@ -51,6 +51,19 @@ pub mod streams {
     pub const EVAL: u64 = 4;
 }
 
+/// Most grid positions (`grid_rows × grid_cols`) a dataset may span. The
+/// caps below bound what a spec file can make a scenario allocate, so an
+/// absurd size fails that scenario instead of aborting the process; each
+/// is far above the paper's scale (a 100-position grid, 336 cycles,
+/// 16–64 hidden units).
+const MAX_GRID_CELLS: usize = 4096;
+/// Most sensing cycles a dataset may span.
+const MAX_CYCLES: usize = 100_000;
+/// Most `cells × cycles` entries of a ground-truth matrix (128 MiB).
+const MAX_MATRIX_ENTRIES: usize = 1 << 24;
+/// Widest DR-Cell Q-network hidden layer.
+const MAX_HIDDEN: usize = 1024;
+
 /// Which ground-truth source a scenario senses.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DatasetSpec {
@@ -118,6 +131,58 @@ impl DatasetSpec {
             DatasetSpec::UAirPm25 { .. } => "PM2.5",
             DatasetSpec::Synthetic { .. } => "synthetic",
         }
+    }
+
+    /// Checks the sizes this source would allocate against the caps
+    /// above (and that a SensorScope cell count fits its grid), before
+    /// anything is generated.
+    fn validate(&self) -> Result<(), String> {
+        let (cells, grid_rows, grid_cols, cycles) = match *self {
+            DatasetSpec::SensorScopeTemperature {
+                cells,
+                grid_rows,
+                grid_cols,
+                cycles,
+            }
+            | DatasetSpec::SensorScopeHumidity {
+                cells,
+                grid_rows,
+                grid_cols,
+                cycles,
+            } => (Some(cells), grid_rows, grid_cols, cycles),
+            DatasetSpec::UAirPm25 {
+                grid_rows,
+                grid_cols,
+                cycles,
+            }
+            | DatasetSpec::Synthetic {
+                grid_rows,
+                grid_cols,
+                cycles,
+                ..
+            } => (None, grid_rows, grid_cols, cycles),
+        };
+        let positions = grid_rows
+            .checked_mul(grid_cols)
+            .filter(|&n| n <= MAX_GRID_CELLS)
+            .ok_or_else(|| {
+                format!("a {grid_rows} × {grid_cols} grid exceeds {MAX_GRID_CELLS} positions")
+            })?;
+        let cells = cells.unwrap_or(positions);
+        if cells > positions {
+            return Err(format!(
+                "cannot place {cells} cells on a {positions}-position grid"
+            ));
+        }
+        if cycles > MAX_CYCLES {
+            return Err(format!("{cycles} cycles exceed the cap of {MAX_CYCLES}"));
+        }
+        if cells * cycles > MAX_MATRIX_ENTRIES {
+            return Err(format!(
+                "{cells} cells × {cycles} cycles exceed {MAX_MATRIX_ENTRIES} matrix entries"
+            ));
+        }
+        Ok(())
     }
 
     /// Generates the ground truth and grid for this source.
@@ -291,21 +356,28 @@ impl PolicySpec {
     /// Returns [`ScenarioError::Invalid`] when a DR-Cell history window
     /// `history_k` exceeds the task's cycle count (the `k × cells` state
     /// matrix is sized from it, so an unchecked value from a spec file
-    /// could ask for terabytes); propagates construction and training
-    /// failures.
+    /// could ask for terabytes) or its `hidden` width exceeds 1024;
+    /// propagates construction and training failures.
     pub fn build(
         &self,
         task: &SensingTask,
         runner: &RunnerSpec,
         seed: u64,
     ) -> Result<Box<dyn CellSelectionPolicy>, ScenarioError> {
-        if let PolicySpec::DrCell { history_k, .. } | PolicySpec::OnlineDrCell { history_k, .. } =
-            *self
+        if let PolicySpec::DrCell {
+            history_k, hidden, ..
+        }
+        | PolicySpec::OnlineDrCell { history_k, hidden } = *self
         {
             if history_k > task.cycles() {
                 return Err(ScenarioError::Invalid(format!(
                     "history_k = {history_k} exceeds the task's {} cycles",
                     task.cycles()
+                )));
+            }
+            if hidden > MAX_HIDDEN {
+                return Err(ScenarioError::Invalid(format!(
+                    "hidden = {hidden} exceeds the cap of {MAX_HIDDEN}"
                 )));
             }
         }
@@ -480,6 +552,7 @@ impl ScenarioSpec {
         self.perturbations
             .validate()
             .map_err(ScenarioError::Invalid)?;
+        self.dataset.validate().map_err(ScenarioError::Invalid)?;
         let (truth, grid, metric, signal) = self
             .dataset
             .materialise(stream_seed(self.seed, streams::DATASET));
@@ -876,6 +949,81 @@ mod tests {
             history_k: cycles,
         };
         assert!(online.build(&task, &spec.runner, spec.seed).is_ok());
+    }
+
+    #[test]
+    fn oversized_datasets_are_rejected_before_generation() {
+        // Every case would need gigabytes (or overflow) if generated; only
+        // the error path runs.
+        let rejected = |dataset: DatasetSpec, what: &str| {
+            let spec = ScenarioSpec {
+                dataset,
+                ..tiny_base()
+            };
+            match spec.build_task() {
+                Err(ScenarioError::Invalid(msg)) => assert!(msg.contains(what), "{msg}"),
+                Err(e) => panic!("wrong error {e}"),
+                Ok(_) => panic!("{what}: accepted"),
+            }
+        };
+        let scope = |cells, grid_rows, grid_cols, cycles| DatasetSpec::SensorScopeTemperature {
+            cells,
+            grid_rows,
+            grid_cols,
+            cycles,
+        };
+        rejected(scope(57, usize::MAX, 2, 16), "positions");
+        rejected(scope(57, 100, 100, 16), "positions");
+        rejected(scope(101, 10, 10, 16), "cannot place");
+        rejected(scope(57, 10, 10, 1 << 40), "cycles exceed");
+        rejected(scope(4096, 64, 64, 10_000), "matrix entries");
+        rejected(
+            DatasetSpec::UAirPm25 {
+                grid_rows: 1 << 33,
+                grid_cols: 1 << 33,
+                cycles: 24,
+            },
+            "positions",
+        );
+        let DatasetSpec::Synthetic { field, .. } = tiny_base().dataset else {
+            unreachable!()
+        };
+        rejected(
+            DatasetSpec::Synthetic {
+                grid_rows: 3,
+                grid_cols: 3,
+                cell_w: 40.0,
+                cell_h: 40.0,
+                cycles: usize::MAX,
+                mean: 10.0,
+                std: 2.0,
+                field,
+            },
+            "cycles exceed",
+        );
+        // Every built-in scenario stays under the caps.
+        for spec in crate::registry::registry() {
+            assert_eq!(spec.dataset.validate(), Ok(()), "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn oversized_hidden_layers_are_rejected_before_training() {
+        let spec = tiny_base();
+        let task = spec.build_task().unwrap();
+        for policy in [
+            PolicySpec::drcell(1, 1 << 40),
+            PolicySpec::OnlineDrCell {
+                hidden: MAX_HIDDEN + 1,
+                history_k: 3,
+            },
+        ] {
+            match policy.build(&task, &spec.runner, spec.seed) {
+                Err(ScenarioError::Invalid(msg)) => assert!(msg.contains("hidden"), "{msg}"),
+                Err(e) => panic!("wrong error {e}"),
+                Ok(_) => panic!("{}: oversized hidden accepted", policy.label()),
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A blocking, dependency-free client for the daemon — the library the
 //! CLI client commands, the examples and the test suites are built on.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -52,6 +52,16 @@ impl ClientConfig {
         }
     }
 }
+
+/// Hard cap on one reply frame, so a peer streaming newline-free bytes
+/// cannot grow the client's buffer without bound.
+///
+/// Not the server's 4 MiB request cap: every reply but one is bounded by
+/// what a request can carry (a row is one test cycle, names echo the
+/// request), but the `jobs` table lists every job the daemon has held —
+/// about 150 bytes each, kept across restarts by the journal — and passes
+/// 4 MiB after some 28 000 jobs. 64 MiB leaves that table room for ~450 000.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// A client time budget on the wire: whole milliseconds, at least 1 so a
 /// sub-millisecond budget still rounds to a real (immediately expiring)
@@ -237,22 +247,28 @@ impl Client {
             self.poison(&e.to_string());
             return Err(e);
         }
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
+        let mut line = Vec::new();
+        // `take` bounds the read itself; cap + 1 for the newline.
+        let read = (&mut self.reader)
+            .take(MAX_FRAME_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line);
+        let e = match read {
             // A timed-out or failed read may have consumed part of a
             // frame into the buffer; only a loud failure is safe now.
-            Err(e) => {
-                let e = transport_error("read frame", e);
-                self.poison(&e.to_string());
-                Err(e)
+            Err(e) => transport_error("read frame", e),
+            Ok(0) => ServeError::Protocol("server closed the connection".to_owned()),
+            Ok(_) if line.len() > MAX_FRAME_BYTES && line.last() != Some(&b'\n') => {
+                // The rest of the oversized frame is still in flight, so
+                // the framing is gone.
+                ServeError::Protocol(format!("frame exceeds {MAX_FRAME_BYTES} bytes"))
             }
-            Ok(0) => {
-                let e = ServeError::Protocol("server closed the connection".to_owned());
-                self.poison(&e.to_string());
-                Err(e)
-            }
-            Ok(_) => Frame::parse(line.trim_end_matches('\n')),
-        }
+            Ok(_) => match String::from_utf8(line) {
+                Ok(text) => return Frame::parse(text.trim_end_matches('\n')),
+                Err(_) => ServeError::Protocol("frame is not UTF-8".to_owned()),
+            },
+        };
+        self.poison(&e.to_string());
+        Err(e)
     }
 
     /// Reads the single reply frame of a non-streaming request.

@@ -104,7 +104,7 @@ mod server;
 
 use std::fmt;
 
-pub use client::{Client, ClientConfig, JobOutput, JobStream};
+pub use client::{Client, ClientConfig, JobOutput, JobStream, MAX_FRAME_BYTES};
 pub use coordinator::{
     fansweep, fansweep_with, FleetConfig, FleetOutput, ProbeConfig, RetryConfig, ShardReport,
 };

@@ -368,6 +368,42 @@ fn a_silent_server_times_out_instead_of_hanging_forever() {
 }
 
 #[test]
+fn an_oversized_frame_is_refused_and_poisons_the_client() {
+    // A fake server that answers any request with one newline-free line
+    // a byte past the client's frame cap: the read must stop at the cap
+    // with a protocol error rather than buffer whatever the peer sends.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut request = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut request)
+            .unwrap();
+        let mut out = stream;
+        let chunk = vec![b'x'; 1 << 20];
+        let mut left = drcell_serve::MAX_FRAME_BYTES + 1;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            // The client hangs up once it has seen enough.
+            if out.write_all(&chunk[..n]).is_err() {
+                break;
+            }
+            left -= n;
+        }
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let err = client.list().unwrap_err();
+    assert!(
+        matches!(&err, ServeError::Protocol(m) if m.contains("exceeds")),
+        "{err:?}"
+    );
+    let err = client.list().unwrap_err();
+    assert!(err.to_string().contains("poisoned"), "{err}");
+    server.join().unwrap();
+}
+
+#[test]
 fn sweep_slices_stream_global_indices_and_reassemble_the_matrix() {
     let mut sweep = SweepSpec::single(tiny_spec("protocol-slices", 26));
     sweep.seeds = vec![1, 2, 3, 4, 5];

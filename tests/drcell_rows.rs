@@ -7,8 +7,16 @@
 //! `DRCELL_BACKEND=scalar`), so the same literals also pin invariant 8 on
 //! the learner path: training, greedy selection, the LOO assessment and
 //! the ALS completion.
+//!
+//! A second pin covers the paper-scale matrix shape — 57 cells, a 12-cycle
+//! window of fully sensed history — where most ALS rows and columns share
+//! an observation pattern, so the pattern-shared normal-equation solves
+//! carry most of the work.
 
-use drcell::scenario::{registry, sink, SweepEngine};
+use drcell::datasets::PerturbationStack;
+use drcell::scenario::{
+    registry, sink, DatasetSpec, PolicySpec, QualitySpec, RunnerSpec, ScenarioSpec, SweepEngine,
+};
 use drcell::store::{scenario_key, sha256::Sha256};
 
 /// SHA-256 of `drcell-scenario run --name synthetic-smooth --jsonl`.
@@ -18,12 +26,13 @@ const ROWS_SHA256: &str = "f3c9949f8d7eb81db337bfccd2fa5e801dbc252d8441a49984bb3
 /// files these rows under.
 const CACHE_KEY: &str = "7b3b2b1dfd416c4165928b78fec467ddd488da67299b587a4c8d7bc4b353c56d";
 
-#[test]
-fn synthetic_smooth_drcell_rows_and_cache_key_are_pinned() {
-    let spec = registry::find("synthetic-smooth").expect("registry scenario");
-    assert_eq!(scenario_key(&spec, 0), CACHE_KEY, "cache key moved");
+/// SHA-256 of [`paper_scale_random`]'s JSONL rows.
+const PAPER_SCALE_ROWS_SHA256: &str =
+    "5bd8c93ee3a8155c4eef3aab37e84647975109dca99c081d40bbbc0a6b92f01d";
 
-    let results = SweepEngine::new(1).run(std::slice::from_ref(&spec));
+/// Runs `spec` on one worker and returns its JSONL rows.
+fn rows_of(spec: &ScenarioSpec) -> Vec<u8> {
+    let results = SweepEngine::new(1).run(std::slice::from_ref(spec));
     let result = results[0].as_ref().expect("scenario runs");
     let mut rows = Vec::new();
     sink::write_jsonl(&mut rows, &[result]).expect("in-memory write cannot fail");
@@ -32,5 +41,52 @@ fn synthetic_smooth_drcell_rows_and_cache_key_are_pinned() {
         result.report.cycles.len(),
         "one row per test cycle"
     );
-    assert_eq!(Sha256::hex_digest(&rows), ROWS_SHA256, "DR-Cell rows moved");
+    rows
+}
+
+#[test]
+fn synthetic_smooth_drcell_rows_and_cache_key_are_pinned() {
+    let spec = registry::find("synthetic-smooth").expect("registry scenario");
+    assert_eq!(scenario_key(&spec, 0), CACHE_KEY, "cache key moved");
+    assert_eq!(
+        Sha256::hex_digest(&rows_of(&spec)),
+        ROWS_SHA256,
+        "DR-Cell rows moved"
+    );
+}
+
+/// RANDOM on the paper's SensorScope temperature task (57 of 100 grid
+/// positions, ε = 0.3, p = 0.9, window 12) with two test cycles after 12
+/// history cycles, which keeps the debug test within a few seconds.
+fn paper_scale_random() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "paper57-random".to_owned(),
+        seed: 57,
+        dataset: DatasetSpec::SensorScopeTemperature {
+            cells: 57,
+            grid_rows: 10,
+            grid_cols: 10,
+            cycles: 14,
+        },
+        perturbations: PerturbationStack::none(),
+        policy: PolicySpec::Random,
+        quality: QualitySpec {
+            epsilon: 0.3,
+            p: 0.9,
+        },
+        runner: RunnerSpec {
+            window: 12,
+            ..RunnerSpec::default()
+        },
+        train_cycles: 12,
+    }
+}
+
+#[test]
+fn paper_scale_random_rows_are_pinned() {
+    assert_eq!(
+        Sha256::hex_digest(&rows_of(&paper_scale_random())),
+        PAPER_SCALE_ROWS_SHA256,
+        "paper-scale rows moved"
+    );
 }
