@@ -22,7 +22,7 @@
 //! it is skipped with a note asking for a re-recorded baseline.
 
 use criterion::black_box;
-use drcell_bench::{gate, loo_working_set, median_us};
+use drcell_bench::{gate, loo_working_set, median, time_us};
 use drcell_core::RunnerConfig;
 use drcell_inference::{BatchedLooEngine, CompressiveSensing, NaiveLooSolver};
 use drcell_quality::{ErrorMetric, QualityAssessor, QualityRequirement};
@@ -46,10 +46,18 @@ impl Medians {
     }
 }
 
-/// One assessment per iteration at the runner's default assessment
+/// Timed samples per side.
+const SAMPLES: usize = 15;
+
+/// One assessment per sample at the runner's default assessment
 /// tolerances, 16 sensed cells — the steady state of the selection loop
 /// (the batched engine keeps its warm factors between assessments, exactly
 /// as in the runner).
+///
+/// The two sides' samples are interleaved, one naive and one batched per
+/// iteration after one untimed warm-up call each, so a change in host
+/// load during the run moves both medians alike instead of only the
+/// ratio.
 fn measure() -> Medians {
     let cfg = RunnerConfig::default().assessment_inference;
     let obs = loo_working_set(16);
@@ -57,19 +65,23 @@ fn measure() -> Medians {
     let assessor = assessor();
 
     let cs = CompressiveSensing::new(cfg.clone()).unwrap();
-    let naive_us = median_us(15, || {
+    let mut naive = || {
         let mut solver = NaiveLooSolver::new(&cs);
         black_box(assessor.assess_with(&obs, cycle, &mut solver).unwrap());
-    });
-
+    };
     let mut engine = BatchedLooEngine::new(cfg).unwrap();
-    let batched_us = median_us(15, || {
+    let mut batched = || {
         black_box(assessor.assess_with(&obs, cycle, &mut engine).unwrap());
-    });
+    };
 
+    naive();
+    batched();
+    let (naive_times, batched_times): (Vec<f64>, Vec<f64>) = (0..SAMPLES)
+        .map(|_| (time_us(&mut naive), time_us(&mut batched)))
+        .unzip();
     Medians {
-        naive_us,
-        batched_us,
+        naive_us: median(naive_times),
+        batched_us: median(batched_times),
     }
 }
 

@@ -8,6 +8,14 @@
 //! 128, plus the 128×128 `matmul` kernel against the historical zero-skip
 //! `i-k-j` loop. The DRQN step is timed as well (informational).
 //!
+//! The replay here is a static 512 transitions and no step observes a new
+//! one, so `train_step`'s per-slot bootstrap memo fills up within each
+//! 100-step target-sync window: later steps in a window run the target
+//! network over few or no next states, while the scalar reference path
+//! still runs one forward per sampled transition. The batched median
+//! therefore times mostly the online update, and reads lower than a
+//! training loop that observes a transition per step would see.
+//!
 //! Modes (same harness pattern as the gated `loo` bench):
 //!
 //! * `cargo bench -p drcell-bench --bench train_step` — print medians.

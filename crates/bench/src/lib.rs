@@ -172,20 +172,29 @@ pub fn loo_working_set(sensed: usize) -> drcell_inference::ObservedMatrix {
     obs
 }
 
-/// Median wall-clock microseconds of `samples` runs of `f` (one untimed
-/// warm-up call first). Shared by the gated `loo` bench and `tune_loo` so
-/// their medians stay directly comparable.
-pub fn median_us<F: FnMut()>(samples: usize, mut f: F) -> f64 {
+/// Wall-clock microseconds of one call of `f`.
+pub fn time_us(f: &mut dyn FnMut()) -> f64 {
+    let start = std::time::Instant::now();
     f();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
+    start.elapsed().as_secs_f64() * 1e6
+}
+
+/// The median of `times` (the upper middle one for an even count).
+///
+/// # Panics
+///
+/// Panics if `times` is empty.
+pub fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(|a, b| a.total_cmp(b));
     times[times.len() / 2]
+}
+
+/// Median wall-clock microseconds of `samples` runs of `f` (one untimed
+/// warm-up call first). The gated benches and `tune_loo` all time through
+/// [`time_us`] and [`median`], so their medians stay directly comparable.
+pub fn median_us<F: FnMut()>(samples: usize, mut f: F) -> f64 {
+    f();
+    median((0..samples).map(|_| time_us(&mut f)).collect())
 }
 
 /// Shared plumbing of the gated regression benches (`loo`, `train_step`,

@@ -389,6 +389,10 @@ pub(crate) fn sweep_v(
 /// The ridge-regularised squared-error objective of `(U, V)` on the
 /// problem's (possibly leave-one-out) observations.
 pub(crate) fn objective(p: &AlsProblem<'_>, u: &Matrix, v: &Matrix) -> f64 {
+    // `V`'s rows are read straight from its storage: this loop runs once
+    // per observation, where `Matrix::row`'s extra bounds assert shows.
+    let rank = v.cols();
+    let vs = v.as_slice();
     let mut obj = 0.0;
     for (i, obs_row) in p.data.row_obs.iter().enumerate() {
         let ui = u.row(i);
@@ -398,7 +402,8 @@ pub(crate) fn objective(p: &AlsProblem<'_>, u: &Matrix, v: &Matrix) -> f64 {
                 continue;
             }
             let d = raw - p.mean;
-            let pred: f64 = ui.iter().zip(v.row(t)).map(|(a, b)| a * b).sum();
+            let vt = &vs[t * rank..(t + 1) * rank];
+            let pred: f64 = ui.iter().zip(vt).map(|(a, b)| a * b).sum();
             obj += (d - pred) * (d - pred);
         }
     }

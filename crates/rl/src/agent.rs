@@ -56,6 +56,11 @@ pub struct DqnAgent<N: QNetwork> {
     online: N,
     target: N,
     replay: ReplayBuffer<Transition>,
+    /// Per replay slot, the memoised bootstrap `max_{A′} Q_target(S′, A′)`
+    /// (`0.0` for a terminal transition). The target network is fixed
+    /// between syncs, so an entry stays valid until [`DqnAgent::observe`]
+    /// overwrites its slot or the target network changes.
+    bootstraps: Vec<Option<f64>>,
     optimizer: Box<dyn Optimizer>,
     config: DqnConfig,
     train_steps: u64,
@@ -108,6 +113,7 @@ impl<N: QNetwork> DqnAgent<N> {
             online: network,
             target,
             replay,
+            bootstraps: Vec::new(),
             optimizer,
             config,
             train_steps: 0,
@@ -155,22 +161,30 @@ impl<N: QNetwork> DqnAgent<N> {
         epsilon_greedy(&q, mask, epsilon, rng).ok_or(RlError::NoValidAction)
     }
 
-    /// Stores an experience in the replay memory.
+    /// Stores an experience in the replay memory, forgetting the memoised
+    /// bootstrap of the slot it lands in.
     pub fn observe(&mut self, transition: Transition) {
-        self.replay.push(transition);
+        let slot = self.replay.push(transition);
+        self.bootstraps.resize(self.replay.len(), None);
+        self.bootstraps[slot] = None;
     }
 
     /// One training step: sample a minibatch *by index* (no `Transition`
-    /// clones), build the fixed-target TD values (paper eq. 7) from **one
-    /// batched forward per network** — current states through the online
-    /// net, next states through the target net — then regress with the
-    /// GEMM-backed batched update and periodically sync the target network.
-    /// Returns the batch loss, or `None` while the replay buffer is still
-    /// warming up.
+    /// clones), build the fixed-target TD values (paper eq. 7), then
+    /// regress with the GEMM-backed batched update and periodically sync
+    /// the target network. Returns the batch loss, or `None` while the
+    /// replay buffer is still warming up.
+    ///
+    /// The current states go through the online net in the update's own
+    /// forward pass. A next state's bootstrap is memoised per replay slot
+    /// until the next target sync, so the target net runs one batched
+    /// forward over only the distinct sampled slots not yet memoised, and
+    /// none at all when every slot is memoised or terminal.
     ///
     /// Numerically this reproduces the per-sample scalar reference path
     /// ([`DqnAgent::train_step_reference`]) bit-for-bit for dense networks
-    /// and to ≤1e-9 for the DRQN.
+    /// and to ≤1e-9 for the DRQN: a batched forward's rows each equal the
+    /// single-state forward, whichever batch they were computed in.
     ///
     /// ```
     /// use drcell_linalg::Matrix;
@@ -203,25 +217,15 @@ impl<N: QNetwork> DqnAgent<N> {
             return None;
         }
         let idxs = self.replay.sample_indices(self.config.batch_size, rng);
+        self.fill_bootstraps(&idxs);
         let states: Vec<&Matrix> = idxs.iter().map(|&i| &self.replay.get(i).state).collect();
-        let next_states: Vec<&Matrix> = idxs
-            .iter()
-            .map(|&i| &self.replay.get(i).next_state)
-            .collect();
 
-        // TD targets per transition: `r + γ·bootstrap`, needing only the
-        // next-state sweeps.
-        let q_next_target = self.target.q_values_batch(&next_states);
+        // TD targets per transition: `r + γ·bootstrap`.
         let td: Vec<(usize, f64)> = idxs
             .iter()
-            .enumerate()
-            .map(|(b, &i)| {
+            .map(|&i| {
                 let t = self.replay.get(i);
-                let bootstrap = if t.terminal {
-                    0.0
-                } else {
-                    masked_max(q_next_target.row(b), &t.next_mask).unwrap_or(0.0)
-                };
+                let bootstrap = self.bootstraps[i].expect("sampled slots are memoised");
                 (t.action, t.reward + self.config.gamma * bootstrap)
             })
             .collect();
@@ -251,6 +255,35 @@ impl<N: QNetwork> DqnAgent<N> {
             self.sync_target();
         }
         Some(loss)
+    }
+
+    /// Memoises the bootstrap of every slot in `idxs` that lacks one: `0.0`
+    /// for a terminal transition, otherwise the masked maximum of one
+    /// batched target-network forward over the distinct missing slots.
+    fn fill_bootstraps(&mut self, idxs: &[usize]) {
+        let mut missing: Vec<usize> = Vec::new();
+        for &i in idxs {
+            if self.bootstraps[i].is_some() || missing.contains(&i) {
+                continue;
+            }
+            if self.replay.get(i).terminal {
+                self.bootstraps[i] = Some(0.0);
+            } else {
+                missing.push(i);
+            }
+        }
+        if missing.is_empty() {
+            return;
+        }
+        let next_states: Vec<&Matrix> = missing
+            .iter()
+            .map(|&i| &self.replay.get(i).next_state)
+            .collect();
+        let q_next = self.target.q_values_batch(&next_states);
+        for (b, &i) in missing.iter().enumerate() {
+            let bootstrap = masked_max(q_next.row(b), &self.replay.get(i).next_mask);
+            self.bootstraps[i] = Some(bootstrap.unwrap_or(0.0));
+        }
     }
 
     /// The scalar reference training step: clones the sampled transitions
@@ -307,9 +340,11 @@ impl<N: QNetwork> DqnAgent<N> {
         Some(loss)
     }
 
-    /// Copies the online parameters into the target network (`θ′ = θ`).
+    /// Copies the online parameters into the target network (`θ′ = θ`),
+    /// forgetting every memoised bootstrap.
     pub fn sync_target(&mut self) {
         self.target.set_params(&self.online.params());
+        self.bootstraps.fill(None);
     }
 
     /// Exports the online parameters (transfer learning, §4.4).
@@ -318,7 +353,8 @@ impl<N: QNetwork> DqnAgent<N> {
     }
 
     /// Imports parameters into both online and target networks —
-    /// the fine-tuning initialisation of transfer learning (§4.4).
+    /// the fine-tuning initialisation of transfer learning (§4.4) —
+    /// forgetting every memoised bootstrap.
     ///
     /// # Panics
     ///
@@ -326,6 +362,7 @@ impl<N: QNetwork> DqnAgent<N> {
     pub fn import_params(&mut self, params: &[f64]) {
         self.online.set_params(params);
         self.target.set_params(params);
+        self.bootstraps.fill(None);
     }
 }
 
@@ -649,6 +686,62 @@ mod tests {
         {
             assert!((pb - pr).abs() <= 1e-9, "params drifted ({pb} vs {pr})");
         }
+    }
+
+    /// The memoised bootstraps must reproduce the reference path bit for
+    /// bit while the ring wraps (overwritten slots must be re-bootstrapped),
+    /// across target syncs, and across a mid-run parameter import.
+    #[test]
+    fn memoised_bootstraps_reproduce_reference_bitwise() {
+        let (cells, k) = (5, 2);
+        let mut rng = StdRng::seed_from_u64(90);
+        let net = MlpQNetwork::new(k, cells, &[16], &mut rng).unwrap();
+        let imported = MlpQNetwork::new(k, cells, &[16], &mut rng)
+            .unwrap()
+            .params();
+        let config = DqnConfig {
+            batch_size: 8,
+            learning_starts: 8,
+            replay_capacity: 40,
+            target_update_interval: 7,
+            ..Default::default()
+        };
+        let agent =
+            |net: MlpQNetwork| DqnAgent::new(net, Box::new(Adam::new(1e-2)), config).unwrap();
+        let mut memo = agent(net.clone());
+        let mut reference = agent(net);
+
+        let mut data = StdRng::seed_from_u64(91);
+        let mut rng_m = StdRng::seed_from_u64(92);
+        let mut rng_r = StdRng::seed_from_u64(92);
+        for i in 0..300 {
+            let state = Matrix::from_fn(k, cells, |_, _| data.gen::<f64>());
+            let next = Matrix::from_fn(k, cells, |_, _| data.gen::<f64>());
+            let mut mask: Vec<bool> = (0..cells).map(|_| data.gen_bool(0.6)).collect();
+            mask[i % cells] = true;
+            let t = Transition::new(
+                state,
+                data.gen_range(0..cells),
+                data.gen::<f64>() - 0.5,
+                next,
+                mask,
+                i % 9 == 4,
+            );
+            memo.observe(t.clone());
+            reference.observe(t);
+            if i == 150 {
+                memo.import_params(&imported);
+                reference.import_params(&imported);
+            }
+            let lm = memo.train_step(&mut rng_m);
+            let lr = reference.train_step_reference(&mut rng_r);
+            assert_eq!(
+                lm.map(f64::to_bits),
+                lr.map(f64::to_bits),
+                "step {i}: memoised {lm:?} vs reference {lr:?}"
+            );
+        }
+        assert_eq!(memo.export_params(), reference.export_params());
     }
 
     #[test]

@@ -64,13 +64,17 @@ impl<T> ReplayBuffer<T> {
         self.items.is_empty()
     }
 
-    /// Stores an experience, evicting the oldest when full.
-    pub fn push(&mut self, item: T) {
+    /// Stores an experience, evicting the oldest when full, and returns
+    /// the storage index it now occupies (a full ring reuses slots).
+    pub fn push(&mut self, item: T) -> usize {
         if self.items.len() < self.capacity {
             self.items.push(item);
+            self.items.len() - 1
         } else {
-            self.items[self.write] = item;
-            self.write = (self.write + 1) % self.capacity;
+            let slot = self.write;
+            self.items[slot] = item;
+            self.write = (slot + 1) % self.capacity;
+            slot
         }
     }
 
@@ -130,8 +134,8 @@ mod tests {
             b.push(i);
         }
         assert_eq!(b.len(), 3);
-        b.push(3); // evicts 0
-        b.push(4); // evicts 1
+        assert_eq!(b.push(3), 0, "evicts 0 and reuses its slot");
+        assert_eq!(b.push(4), 1, "evicts 1 and reuses its slot");
         let mut rng = StdRng::seed_from_u64(0);
         let all: Vec<i32> = b.sample(100, &mut rng).into_iter().copied().collect();
         assert!(all.iter().all(|&x| x >= 2));

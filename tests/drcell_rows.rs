@@ -11,11 +11,15 @@
 //! A second pin covers the paper-scale matrix shape — 57 cells, a 12-cycle
 //! window of fully sensed history — where most ALS rows and columns share
 //! an observation pattern, so the pattern-shared normal-equation solves
-//! carry most of the work.
+//! carry most of the work. Two more pin DR-Cell itself at that shape,
+//! once with the DRQN and once with the dense Q-network. Their training
+//! runs across target-network syncs, so they also pin the memoised replay
+//! bootstraps to the rows that recomputing every bootstrap gave.
 
 use drcell::datasets::PerturbationStack;
 use drcell::scenario::{
-    registry, sink, DatasetSpec, PolicySpec, QualitySpec, RunnerSpec, ScenarioSpec, SweepEngine,
+    registry, sink, DatasetSpec, NetworkKind, PolicySpec, QualitySpec, RunnerSpec, ScenarioSpec,
+    SweepEngine,
 };
 use drcell::store::{scenario_key, sha256::Sha256};
 
@@ -29,6 +33,14 @@ const CACHE_KEY: &str = "7b3b2b1dfd416c4165928b78fec467ddd488da67299b587a4c8d7bc
 /// SHA-256 of [`paper_scale_random`]'s JSONL rows.
 const PAPER_SCALE_ROWS_SHA256: &str =
     "5bd8c93ee3a8155c4eef3aab37e84647975109dca99c081d40bbbc0a6b92f01d";
+
+/// SHA-256 of [`paper_scale_drcell`]`(NetworkKind::Drqn)`'s JSONL rows.
+const PAPER_SCALE_DRQN_ROWS_SHA256: &str =
+    "82a198d768b444309e881575cd1e14a06430c3dc05925d1e39d5be2f09ab1877";
+
+/// SHA-256 of [`paper_scale_drcell`]`(NetworkKind::Dense)`'s JSONL rows.
+const PAPER_SCALE_DENSE_ROWS_SHA256: &str =
+    "4a8fa309cb8cbc7b3c461b10722830342dd36fb34e2546315932faefb770a987";
 
 /// Runs `spec` on one worker and returns its JSONL rows.
 fn rows_of(spec: &ScenarioSpec) -> Vec<u8> {
@@ -88,5 +100,57 @@ fn paper_scale_random_rows_are_pinned() {
         Sha256::hex_digest(&rows_of(&paper_scale_random())),
         PAPER_SCALE_ROWS_SHA256,
         "paper-scale rows moved"
+    );
+}
+
+/// DR-Cell on the same 57-cell task, trained for one episode over 8
+/// cycles and tested on 2, which keeps the debug test within a few
+/// seconds.
+fn paper_scale_drcell(network: NetworkKind) -> ScenarioSpec {
+    ScenarioSpec {
+        name: "paper57-drcell".to_owned(),
+        seed: 57,
+        dataset: DatasetSpec::SensorScopeTemperature {
+            cells: 57,
+            grid_rows: 10,
+            grid_cols: 10,
+            cycles: 10,
+        },
+        perturbations: PerturbationStack::none(),
+        policy: PolicySpec::DrCell {
+            episodes: 1,
+            hidden: 8,
+            history_k: 3,
+            network,
+            reward_bonus: None,
+            cost: 1.0,
+        },
+        quality: QualitySpec {
+            epsilon: 0.3,
+            p: 0.9,
+        },
+        runner: RunnerSpec {
+            window: 8,
+            ..RunnerSpec::default()
+        },
+        train_cycles: 8,
+    }
+}
+
+#[test]
+fn paper_scale_drqn_rows_are_pinned() {
+    assert_eq!(
+        Sha256::hex_digest(&rows_of(&paper_scale_drcell(NetworkKind::Drqn))),
+        PAPER_SCALE_DRQN_ROWS_SHA256,
+        "paper-scale DRQN rows moved"
+    );
+}
+
+#[test]
+fn paper_scale_dense_rows_are_pinned() {
+    assert_eq!(
+        Sha256::hex_digest(&rows_of(&paper_scale_drcell(NetworkKind::Dense))),
+        PAPER_SCALE_DENSE_ROWS_SHA256,
+        "paper-scale dense DR-Cell rows moved"
     );
 }
