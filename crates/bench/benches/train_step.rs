@@ -6,15 +6,26 @@
 //! (`DqnAgent::train_step_reference`) on the paper-scale dense Q-network
 //! (57 cells × 3-cycle history, 64×64 hidden layers) at batch sizes 32 and
 //! 128, plus the 128×128 `matmul` kernel against the historical zero-skip
-//! `i-k-j` loop. The DRQN step is timed as well (informational).
+//! `i-k-j` loop. The DRQN step is timed as well (informational), at hidden
+//! 48 and at hidden 16 (the width the end-to-end benchmark trains).
 //!
-//! The replay here is a static 512 transitions and no step observes a new
+//! The replay is laid out like a training run's: each sensing cycle picks
+//! several cells one at a time, one transition per pick, and a state's
+//! rows before the last are the earlier cycles' selections. Transitions of
+//! one cycle thus share their past-cycle rows, so the DRQN forward shares
+//! those prefixes as it does in training.
+//!
+//! The replay is a static 512 transitions and no step observes a new
 //! one, so `train_step`'s per-slot bootstrap memo fills up within each
 //! 100-step target-sync window: later steps in a window run the target
 //! network over few or no next states, while the scalar reference path
 //! still runs one forward per sampled transition. The batched median
 //! therefore times mostly the online update, and reads lower than a
 //! training loop that observes a transition per step would see.
+//!
+//! Each pair of paths is timed interleaved, one scalar and one batched
+//! sample per iteration after one untimed warm-up call each, so a change
+//! in host load moves both medians alike instead of only their ratio.
 //!
 //! Modes (same harness pattern as the gated `loo` bench):
 //!
@@ -35,16 +46,28 @@
 //! this run's); otherwise they are skipped with a note.
 
 use criterion::black_box;
-use drcell_bench::{gate, median_us};
+use drcell_bench::{gate, median, median_us, time_us};
 use drcell_linalg::Matrix;
 use drcell_neural::Adam;
 use drcell_rl::{DqnAgent, DqnConfig, DrqnQNetwork, MlpQNetwork, QNetwork, Transition};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 const CELLS: usize = 57;
 const HISTORY: usize = 3;
 
+/// The `HISTORY × CELLS` state: the past cycles' selections, then the
+/// current cycle's so far.
+fn history(past: &[Vec<f64>], current: &[f64]) -> Matrix {
+    let mut data = past.concat();
+    data.extend_from_slice(current);
+    Matrix::from_vec(HISTORY, CELLS, data).unwrap()
+}
+
+/// An agent whose replay holds 512 transitions of simulated training
+/// cycles: each cycle senses 8–24 random cells, one transition per pick,
+/// with a -1 reward per pick and the bonus on the cycle's last.
 fn filled_agent<N: QNetwork>(net: N, batch_size: usize) -> DqnAgent<N> {
     let mut agent = DqnAgent::new(
         net,
@@ -56,22 +79,49 @@ fn filled_agent<N: QNetwork>(net: N, batch_size: usize) -> DqnAgent<N> {
         },
     )
     .unwrap();
-    // Pre-fill replay with plausible transitions.
-    for i in 0..512 {
-        let mut s = Matrix::zeros(HISTORY, CELLS);
-        s[(HISTORY - 1, i % CELLS)] = 1.0;
-        let mut s2 = s.clone();
-        s2[(HISTORY - 1, (i + 1) % CELLS)] = 1.0;
-        agent.observe(Transition::new(
-            s,
-            (i + 1) % CELLS,
-            if i % 7 == 0 { 56.0 } else { -1.0 },
-            s2,
-            vec![true; CELLS],
-            false,
-        ));
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut past = vec![vec![0.0; CELLS]; HISTORY - 1];
+    let mut stored = 0;
+    while stored < 512 {
+        let mut order: Vec<usize> = (0..CELLS).collect();
+        order.shuffle(&mut rng);
+        let picks = rng.gen_range(8..=24usize).min(512 - stored);
+        let mut current = vec![0.0; CELLS];
+        for (p, &cell) in order[..picks].iter().enumerate() {
+            let state = history(&past, &current);
+            current[cell] = 1.0;
+            let mask = current.iter().map(|&v| v == 0.0).collect();
+            let reward = if p + 1 == picks { 56.0 } else { -1.0 };
+            let next = history(&past, &current);
+            agent.observe(Transition::new(state, cell, reward, next, mask, false));
+        }
+        stored += picks;
+        past.remove(0);
+        past.push(current);
     }
     agent
+}
+
+/// Median microseconds of `train_step_reference` (scalar) and
+/// `train_step` (batched) on two copies of one filled agent, interleaved.
+fn measure_pair<N: QNetwork>(net: N, batch: usize, samples: usize) -> (f64, f64) {
+    let mut scalar_agent = filled_agent(net.clone(), batch);
+    let mut rng_s = StdRng::seed_from_u64(1);
+    let mut scalar = || {
+        black_box(scalar_agent.train_step_reference(&mut rng_s).unwrap());
+    };
+    let mut batched_agent = filled_agent(net, batch);
+    let mut rng_b = StdRng::seed_from_u64(1);
+    let mut batched = || {
+        black_box(batched_agent.train_step(&mut rng_b).unwrap());
+    };
+
+    scalar();
+    batched();
+    let (scalar_times, batched_times): (Vec<f64>, Vec<f64>) = (0..samples)
+        .map(|_| (time_us(&mut scalar), time_us(&mut batched)))
+        .unzip();
+    (median(scalar_times), median(batched_times))
 }
 
 /// The pre-PR `Matrix::matmul` inner loop (`i-k-j`, zero-skip), pinned
@@ -121,19 +171,7 @@ impl Medians {
 fn measure_train(batch: usize, samples: usize) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(0);
     let net = MlpQNetwork::new(HISTORY, CELLS, &[64, 64], &mut rng).unwrap();
-
-    let mut scalar_agent = filled_agent(net.clone(), batch);
-    let mut rng_s = StdRng::seed_from_u64(1);
-    let scalar_us = median_us(samples, || {
-        black_box(scalar_agent.train_step_reference(&mut rng_s).unwrap());
-    });
-
-    let mut batched_agent = filled_agent(net, batch);
-    let mut rng_b = StdRng::seed_from_u64(1);
-    let batched_us = median_us(samples, || {
-        black_box(batched_agent.train_step(&mut rng_b).unwrap());
-    });
-    (scalar_us, batched_us)
+    measure_pair(net, batch, samples)
 }
 
 fn measure() -> Medians {
@@ -175,21 +213,12 @@ fn write_json(path: &str, m: &Medians) {
     gate::write_baseline(path, &json);
 }
 
-fn print_drqn_info() {
+fn print_drqn_info(hidden: usize) {
     let mut rng = StdRng::seed_from_u64(0);
-    let net = DrqnQNetwork::new(CELLS, 48, &mut rng).unwrap();
-    let mut agent = filled_agent(net.clone(), 32);
-    let mut rng_b = StdRng::seed_from_u64(1);
-    let batched = median_us(10, || {
-        black_box(agent.train_step(&mut rng_b).unwrap());
-    });
-    let mut agent = filled_agent(net, 32);
-    let mut rng_s = StdRng::seed_from_u64(1);
-    let scalar = median_us(10, || {
-        black_box(agent.train_step_reference(&mut rng_s).unwrap());
-    });
+    let net = DrqnQNetwork::new(CELLS, hidden, &mut rng).unwrap();
+    let (scalar, batched) = measure_pair(net, 32, 10);
     println!(
-        "  drqn/scalar       median {scalar:>10.1} µs   (informational)\n  drqn/batched      median {batched:>10.1} µs   ({:.2}x)",
+        "  drqn{hidden}/scalar     median {scalar:>10.1} µs   (informational)\n  drqn{hidden}/batched    median {batched:>10.1} µs   ({:.2}x)",
         scalar / batched
     );
 }
@@ -215,7 +244,8 @@ fn main() {
         m.matmul128_gemm_us
     );
     println!("  matmul128 speedup {:>17.2}x", m.matmul_speedup());
-    print_drqn_info();
+    print_drqn_info(48);
+    print_drqn_info(16);
 
     if let Some(path) = gate::flag(&args, "--write") {
         write_json(&path, &m);

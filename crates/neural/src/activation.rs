@@ -72,14 +72,14 @@ impl Activation {
     }
 }
 
-/// Numerically stable logistic sigmoid.
+/// Numerically stable logistic sigmoid: with `e = exp(−|x|)`, it is
+/// `1 / (1 + e)` for `x ≥ 0` and `e / (1 + e)` otherwise. Only the
+/// numerator depends on the sign, and selecting it gives the bits of the
+/// two-branch form without a sign-dependent branch.
 pub(crate) fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
+    let e = (-x.abs()).exp();
+    let num = if x >= 0.0 { 1.0 } else { e };
+    num / (1.0 + e)
 }
 
 #[cfg(test)]
@@ -122,6 +122,25 @@ mod tests {
         assert!(sigmoid(800.0) <= 1.0);
         assert!(sigmoid(-800.0).is_finite());
         assert!((sigmoid(800.0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sigmoid_matches_the_two_branch_form_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let branchy = |x: f64| {
+            if x >= 0.0 {
+                1.0 / (1.0 + (-x).exp())
+            } else {
+                let e = x.exp();
+                e / (1.0 + e)
+            }
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let sweep = (0..4096).map(|_| rng.gen_range(-40.0..40.0));
+        let edges = [0.0, -0.0, 1e3, -1e3, 745.0, -745.0, 5e-324, -5e-324];
+        for x in edges.into_iter().chain(sweep) {
+            assert_eq!(sigmoid(x).to_bits(), branchy(x).to_bits(), "x = {x:e}");
+        }
     }
 
     #[test]

@@ -279,6 +279,8 @@ pub struct LstmBatchCache {
     h: Vec<Matrix>,
     /// `c[t]` for `t = 0..=T`.
     c: Vec<Matrix>,
+    /// `tanh(c[t + 1])` for `t = 0..T`, kept for the backward pass.
+    tanh_c: Vec<Matrix>,
     /// Activated gates per step, batch × 4H in `i, f, g, o` block order.
     gates: Vec<Matrix>,
 }
@@ -307,6 +309,20 @@ impl LstmLayer {
     /// the result is bit-identical to [`LstmLayer::forward_cached`] (the
     /// per-element accumulation order is the same).
     ///
+    /// Each step runs once per distinct history prefix, not once per
+    /// sample. Samples whose rows `0..=t` agree bit for bit have equal
+    /// gates, `cₜ₊₁` and `hₜ₊₁`, so step `t` runs the GEMMs and the gate
+    /// math on the first sample of each such group and copies its rows to
+    /// the others. A replay minibatch repeats prefixes often: transitions
+    /// of one sensing cycle share their past cycles' rows. The cache keeps
+    /// one row per sample, so [`LstmLayer::backward_batch`] reads it as if
+    /// every sample had been run.
+    ///
+    /// `H₀ = 0`, so step 0 skips the `H₀·Whᵀ` GEMM. Its products are ±0,
+    /// and adding ±0 to a sum that is not −0 returns the sum. A running sum
+    /// can only be −0 if its start, a bias entry, is −0, so with finite
+    /// weights and no −0 bias the skip changes no bit.
+    ///
     /// # Panics
     ///
     /// Panics if `seqs` is empty, the sequences differ in shape, or their
@@ -325,25 +341,34 @@ impl LstmLayer {
         let bsz = seqs.len();
         let hd = self.hidden;
 
+        let mut xs = Vec::with_capacity(steps);
         let mut h = vec![Matrix::zeros(bsz, hd)];
         let mut c = vec![Matrix::zeros(bsz, hd)];
+        let mut tanh_c = Vec::with_capacity(steps);
         let mut gates = Vec::with_capacity(steps);
-        let mut xs = Vec::with_capacity(steps);
-        for t in 0..steps {
-            xs.push(Matrix::from_fn(bsz, self.in_dim, |s, i| seqs[s][(t, i)]));
-        }
+        // `group[s]` is sample `s`'s group: the samples whose rows so far
+        // equal its own bit for bit. Before step 0 that is every sample.
+        let mut group = vec![0; bsz];
 
         for t in 0..steps {
-            // z = b ⊕ Xₜ·Wxᵀ + Hₜ₋₁·Whᵀ, accumulated bias-first exactly
-            // like the scalar step.
-            let mut z = Matrix::zeros(bsz, 4 * hd);
-            for s in 0..bsz {
-                z.row_mut(s).copy_from_slice(self.b());
+            let mut x = Matrix::zeros(bsz, self.in_dim);
+            for (s, seq) in seqs.iter().enumerate() {
+                x.row_mut(s).copy_from_slice(seq.row(t));
+            }
+            let (next, reps) = refine_groups(&group, &x);
+            group = next;
+            let ng = reps.len();
+
+            // z = b ⊕ Xₜ·Wxᵀ + Hₜ₋₁·Whᵀ over one sample per group,
+            // accumulated bias-first exactly like the scalar step.
+            let mut z = Matrix::zeros(ng, 4 * hd);
+            for g in 0..ng {
+                z.row_mut(g).copy_from_slice(self.b());
             }
             gemm_slice(
                 1.0,
-                xs[t].as_slice(),
-                bsz,
+                select_rows(&x, &reps).as_slice(),
+                ng,
                 self.in_dim,
                 Trans::No,
                 self.wx(),
@@ -354,25 +379,29 @@ impl LstmLayer {
                 z.as_mut_slice(),
             )
             .expect("lstm input-gate shapes agree");
-            gemm_slice(
-                1.0,
-                h[t].as_slice(),
-                bsz,
-                hd,
-                Trans::No,
-                self.wh(),
-                4 * hd,
-                hd,
-                Trans::Yes,
-                1.0,
-                z.as_mut_slice(),
-            )
-            .expect("lstm hidden-gate shapes agree");
+            if t > 0 {
+                gemm_slice(
+                    1.0,
+                    select_rows(&h[t], &reps).as_slice(),
+                    ng,
+                    hd,
+                    Trans::No,
+                    self.wh(),
+                    4 * hd,
+                    hd,
+                    Trans::Yes,
+                    1.0,
+                    z.as_mut_slice(),
+                )
+                .expect("lstm hidden-gate shapes agree");
+            }
 
-            let mut c_new = Matrix::zeros(bsz, hd);
-            let mut h_new = Matrix::zeros(bsz, hd);
-            for s in 0..bsz {
-                let zr = z.row_mut(s);
+            let c_prev = select_rows(&c[t], &reps);
+            let mut c_new = Matrix::zeros(ng, hd);
+            let mut tc_new = Matrix::zeros(ng, hd);
+            let mut h_new = Matrix::zeros(ng, hd);
+            for g in 0..ng {
+                let zr = z.row_mut(g);
                 for j in 0..hd {
                     zr[j] = sigmoid(zr[j]);
                     zr[hd + j] = sigmoid(zr[hd + j]);
@@ -380,23 +409,36 @@ impl LstmLayer {
                     zr[3 * hd + j] = sigmoid(zr[3 * hd + j]);
                 }
                 for j in 0..hd {
-                    let cv = zr[hd + j] * c[t][(s, j)] + zr[j] * zr[2 * hd + j];
-                    c_new[(s, j)] = cv;
-                    h_new[(s, j)] = zr[3 * hd + j] * cv.tanh();
+                    let cv = zr[hd + j] * c_prev[(g, j)] + zr[j] * zr[2 * hd + j];
+                    let tc = cv.tanh();
+                    c_new[(g, j)] = cv;
+                    tc_new[(g, j)] = tc;
+                    h_new[(g, j)] = zr[3 * hd + j] * tc;
                 }
             }
-            gates.push(z);
-            h.push(h_new);
-            c.push(c_new);
+            xs.push(x);
+            gates.push(select_rows(&z, &group));
+            c.push(select_rows(&c_new, &group));
+            tanh_c.push(select_rows(&tc_new, &group));
+            h.push(select_rows(&h_new, &group));
         }
-        LstmBatchCache { xs, h, c, gates }
+        LstmBatchCache {
+            xs,
+            h,
+            c,
+            tanh_c,
+            gates,
+        }
     }
 
     /// Batched backpropagation through time from per-sample gradients on
     /// the final hidden states (`d_h_last`: batch × H). Accumulates
     /// parameter gradients; per time step the weight updates are two
     /// accumulating GEMMs (`dWx += dZᵀ·Xₜ`, `dWh += dZᵀ·Hₜ₋₁`) and the
-    /// hidden-state gradient one more (`dHₜ₋₁ = dZ·Wh`).
+    /// hidden-state gradient one more (`dHₜ₋₁ = dZ·Wh`). Step 0 runs
+    /// neither of the last two. With `H₀ = 0`, `dZᵀ·H₀` adds only ±0 to
+    /// gradients that start at +0 and so are never −0, and no step
+    /// precedes step 0 to take a `dH₋₁`.
     ///
     /// The input gradients are not materialised (the DRQN topology has no
     /// layers below the LSTM); use [`LstmLayer::backward`] when ∂L/∂x is
@@ -424,7 +466,7 @@ impl LstmLayer {
                 let dzr = dz.row_mut(s);
                 for j in 0..hd {
                     let (gi, gf, gg, go) = (g[j], g[hd + j], g[2 * hd + j], g[3 * hd + j]);
-                    let tc = cache.c[t + 1][(s, j)].tanh();
+                    let tc = cache.tanh_c[t][(s, j)];
                     let do_ = dh[(s, j)] * tc;
                     let dc_j = dc[(s, j)] + dh[(s, j)] * go * (1.0 - tc * tc);
                     let di = dc_j * gg;
@@ -454,6 +496,14 @@ impl LstmLayer {
                 &mut grads[..wx_len],
             )
             .expect("lstm dWx shapes agree");
+            for s in 0..bsz {
+                for (g, &d) in grads[wx_len + wh_len..].iter_mut().zip(dz.row(s)) {
+                    *g += d;
+                }
+            }
+            if t == 0 {
+                break;
+            }
             gemm_slice(
                 1.0,
                 dz.as_slice(),
@@ -468,11 +518,6 @@ impl LstmLayer {
                 &mut grads[wx_len..wx_len + wh_len],
             )
             .expect("lstm dWh shapes agree");
-            for s in 0..bsz {
-                for (g, &d) in grads[wx_len + wh_len..].iter_mut().zip(dz.row(s)) {
-                    *g += d;
-                }
-            }
             gemm_slice(
                 1.0,
                 dz.as_slice(),
@@ -489,6 +534,42 @@ impl LstmLayer {
             .expect("lstm dh shapes agree");
         }
     }
+}
+
+/// Splits the groups in `group` (samples whose earlier rows agree bit for
+/// bit) by the samples' rows of `x`, compared bitwise so that `0.0` and
+/// `-0.0` stay apart. Returns each sample's new group and each new group's
+/// first sample; groups are numbered in order of their first sample.
+fn refine_groups(group: &[usize], x: &Matrix) -> (Vec<usize>, Vec<usize>) {
+    let mut next = Vec::with_capacity(group.len());
+    let mut reps: Vec<usize> = Vec::new();
+    for (s, &g) in group.iter().enumerate() {
+        let row = x.row(s);
+        let same = |&r: &usize| {
+            group[r] == g
+                && x.row(r)
+                    .iter()
+                    .zip(row)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        match reps.iter().position(same) {
+            Some(k) => next.push(k),
+            None => {
+                next.push(reps.len());
+                reps.push(s);
+            }
+        }
+    }
+    (next, reps)
+}
+
+/// Rows `rows[0], rows[1], …` of `m`, stacked.
+fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
+    let mut data = Vec::with_capacity(rows.len() * m.cols());
+    for &r in rows {
+        data.extend_from_slice(m.row(r));
+    }
+    Matrix::from_vec(rows.len(), m.cols(), data).expect("rows share the matrix width")
 }
 
 impl Parameterized for LstmLayer {
@@ -652,6 +733,291 @@ mod tests {
 
         for (i, (b, s)) in batched.iter().zip(&scalar).enumerate() {
             assert!((b - s).abs() < 1e-12, "grad {i}: batched {b} vs scalar {s}");
+        }
+    }
+
+    /// The batched forward without prefix sharing or the step-0 skip: a
+    /// copy of the implementation the shared one replaced, kept as its
+    /// oracle.
+    fn forward_batch_unshared(l: &LstmLayer, seqs: &[&Matrix]) -> LstmBatchCache {
+        let (steps, bsz, hd) = (seqs[0].rows(), seqs.len(), l.hidden);
+        let mut h = vec![Matrix::zeros(bsz, hd)];
+        let mut c = vec![Matrix::zeros(bsz, hd)];
+        let mut tanh_c = Vec::new();
+        let mut gates = Vec::new();
+        let xs: Vec<Matrix> = (0..steps)
+            .map(|t| Matrix::from_fn(bsz, l.in_dim, |s, i| seqs[s][(t, i)]))
+            .collect();
+        for t in 0..steps {
+            let mut z = Matrix::zeros(bsz, 4 * hd);
+            for s in 0..bsz {
+                z.row_mut(s).copy_from_slice(l.b());
+            }
+            let (x, hp) = (xs[t].as_slice(), h[t].as_slice());
+            gemm_slice(
+                1.0,
+                x,
+                bsz,
+                l.in_dim,
+                Trans::No,
+                l.wx(),
+                4 * hd,
+                l.in_dim,
+                Trans::Yes,
+                1.0,
+                z.as_mut_slice(),
+            )
+            .unwrap();
+            gemm_slice(
+                1.0,
+                hp,
+                bsz,
+                hd,
+                Trans::No,
+                l.wh(),
+                4 * hd,
+                hd,
+                Trans::Yes,
+                1.0,
+                z.as_mut_slice(),
+            )
+            .unwrap();
+            let mut c_new = Matrix::zeros(bsz, hd);
+            let mut tc_new = Matrix::zeros(bsz, hd);
+            let mut h_new = Matrix::zeros(bsz, hd);
+            for s in 0..bsz {
+                let zr = z.row_mut(s);
+                for j in 0..hd {
+                    zr[j] = sigmoid(zr[j]);
+                    zr[hd + j] = sigmoid(zr[hd + j]);
+                    zr[2 * hd + j] = zr[2 * hd + j].tanh();
+                    zr[3 * hd + j] = sigmoid(zr[3 * hd + j]);
+                }
+                for j in 0..hd {
+                    let cv = zr[hd + j] * c[t][(s, j)] + zr[j] * zr[2 * hd + j];
+                    c_new[(s, j)] = cv;
+                    tc_new[(s, j)] = cv.tanh();
+                    h_new[(s, j)] = zr[3 * hd + j] * cv.tanh();
+                }
+            }
+            gates.push(z);
+            h.push(h_new);
+            c.push(c_new);
+            tanh_c.push(tc_new);
+        }
+        LstmBatchCache {
+            xs,
+            h,
+            c,
+            tanh_c,
+            gates,
+        }
+    }
+
+    /// The batched backward that recomputes `tanh(cₜ)` and runs every
+    /// GEMM at step 0 too: the oracle of [`LstmLayer::backward_batch`].
+    fn backward_batch_unshared(l: &mut LstmLayer, cache: &LstmBatchCache, d_h_last: &Matrix) {
+        let (hd, bsz, ind) = (l.hidden, cache.batch(), l.in_dim);
+        let (wx_len, wh_len) = (4 * hd * ind, 4 * hd * hd);
+        let mut dh = d_h_last.clone();
+        let mut dc = Matrix::zeros(bsz, hd);
+        let mut dz = Matrix::zeros(bsz, 4 * hd);
+        for t in (0..cache.steps()).rev() {
+            for s in 0..bsz {
+                let g = cache.gates[t].row(s);
+                let dzr = dz.row_mut(s);
+                for j in 0..hd {
+                    let (gi, gf, gg, go) = (g[j], g[hd + j], g[2 * hd + j], g[3 * hd + j]);
+                    let tc = cache.c[t + 1][(s, j)].tanh();
+                    let do_ = dh[(s, j)] * tc;
+                    let dc_j = dc[(s, j)] + dh[(s, j)] * go * (1.0 - tc * tc);
+                    let (di, dg, df) = (dc_j * gg, dc_j * gi, dc_j * cache.c[t][(s, j)]);
+                    dzr[j] = di * gi * (1.0 - gi);
+                    dzr[hd + j] = df * gf * (1.0 - gf);
+                    dzr[2 * hd + j] = dg * (1.0 - gg * gg);
+                    dzr[3 * hd + j] = do_ * go * (1.0 - go);
+                    dc[(s, j)] = dc_j * gf;
+                }
+            }
+            let (grads, params, dzs) = (&mut l.grads, &l.params, dz.as_slice());
+            let (x, hp) = (cache.xs[t].as_slice(), cache.h[t].as_slice());
+            gemm_slice(
+                1.0,
+                dzs,
+                bsz,
+                4 * hd,
+                Trans::Yes,
+                x,
+                bsz,
+                ind,
+                Trans::No,
+                1.0,
+                &mut grads[..wx_len],
+            )
+            .unwrap();
+            gemm_slice(
+                1.0,
+                dzs,
+                bsz,
+                4 * hd,
+                Trans::Yes,
+                hp,
+                bsz,
+                hd,
+                Trans::No,
+                1.0,
+                &mut grads[wx_len..wx_len + wh_len],
+            )
+            .unwrap();
+            for s in 0..bsz {
+                for (g, &d) in grads[wx_len + wh_len..].iter_mut().zip(dz.row(s)) {
+                    *g += d;
+                }
+            }
+            let wh = &params[wx_len..wx_len + wh_len];
+            gemm_slice(
+                1.0,
+                dzs,
+                bsz,
+                4 * hd,
+                Trans::No,
+                wh,
+                4 * hd,
+                hd,
+                Trans::No,
+                0.0,
+                dh.as_mut_slice(),
+            )
+            .unwrap();
+        }
+    }
+
+    /// One input value: binary (`0`, `-0`, `1`) or a random real that is
+    /// `±0` one time in four.
+    fn input_value(binary: bool, rng: &mut StdRng) -> f64 {
+        use rand::Rng;
+        match (binary, rng.gen_range(0..8)) {
+            (_, 0) => 0.0,
+            (_, 1) => -0.0,
+            (true, _) => 1.0,
+            (false, _) => rng.gen_range(-1.0..1.0),
+        }
+    }
+
+    /// A batch of `bsz` sequences (`steps × 3`) of one shape: 0 = copies
+    /// of three parents, each redrawn from a random step on (so prefixes
+    /// are shared to different depths); 1 = duplicates of two sequences;
+    /// 2 = independent draws; 3 = independent draws of `±0` only, rows
+    /// equal under `==` but not bitwise; 4 = a single sequence.
+    fn batch_of(
+        kind: usize,
+        binary: bool,
+        steps: usize,
+        bsz: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Matrix> {
+        use rand::Rng;
+        let fresh = |rng: &mut StdRng| Matrix::from_fn(steps, 3, |_, _| input_value(binary, rng));
+        match kind {
+            0 => {
+                let parents: Vec<Matrix> = (0..3).map(|_| fresh(rng)).collect();
+                (0..bsz)
+                    .map(|_| {
+                        let mut s = parents[rng.gen_range(0..3usize)].clone();
+                        for t in rng.gen_range(0..steps + 1)..steps {
+                            for i in 0..3 {
+                                s[(t, i)] = input_value(binary, rng);
+                            }
+                        }
+                        s
+                    })
+                    .collect()
+            }
+            1 => {
+                let pool = [fresh(rng), fresh(rng)];
+                (0..bsz)
+                    .map(|_| pool[rng.gen_range(0..2usize)].clone())
+                    .collect()
+            }
+            2 => (0..bsz).map(|_| fresh(rng)).collect(),
+            3 => (0..bsz)
+                .map(|_| Matrix::from_fn(steps, 3, |_, _| [0.0, -0.0][rng.gen_range(0..2usize)]))
+                .collect(),
+            _ => vec![fresh(rng)],
+        }
+    }
+
+    /// Every value `cache` holds for sample `s`, as bits.
+    fn sample_bits(cache: &LstmBatchCache, s: usize) -> Vec<u64> {
+        let parts = [&cache.xs, &cache.h, &cache.c, &cache.tanh_c, &cache.gates];
+        parts
+            .iter()
+            .flat_map(|ms| ms.iter())
+            .flat_map(|m| m.row(s))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn shared_prefixes_reproduce_singleton_caches_bitwise(
+            seed in 0u64..1 << 32,
+            kind in 0usize..5,
+            binary in proptest::prelude::any::<bool>(),
+            steps in 1usize..5,
+            bsz in 1usize..12,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut l = LstmLayer::new(3, 4, &mut rng).unwrap();
+            if kind == 3 {
+                // With −0 biases, a gate's sum stays −0 through inputs of
+                // ±0, so there `0.0` and `-0.0` inputs give different bits.
+                let mut p = l.params();
+                let n = p.len();
+                p[n - 16..].fill(-0.0);
+                l.set_params(&p);
+            }
+            let seqs = batch_of(kind, binary, steps, bsz, &mut rng);
+            let refs: Vec<&Matrix> = seqs.iter().collect();
+            let cache = l.forward_batch_cached(&refs);
+            proptest::prop_assert_eq!(cache.batch(), seqs.len());
+            for (s, seq) in seqs.iter().enumerate() {
+                let single = l.forward_batch_cached(&[seq]);
+                proptest::prop_assert_eq!(sample_bits(&cache, s), sample_bits(&single, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn backward_batch_matches_the_unshared_pass_bitwise() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut l = LstmLayer::new(3, 5, &mut rng).unwrap();
+        for case in 0..30 {
+            let seqs = batch_of(case % 5, case % 10 < 5, 3, 10, &mut rng);
+            let refs: Vec<&Matrix> = seqs.iter().collect();
+            let d = Matrix::from_fn(seqs.len(), 5, |_, _| {
+                rand::Rng::gen_range(&mut rng, -1.0..1.0)
+            });
+
+            l.zero_grads();
+            let cache = l.forward_batch_cached(&refs);
+            l.backward_batch(&cache, &d);
+            let shared = l.grads();
+
+            l.zero_grads();
+            let oracle = forward_batch_unshared(&l, &refs);
+            backward_batch_unshared(&mut l, &oracle, &d);
+            for s in 0..seqs.len() {
+                assert_eq!(
+                    sample_bits(&cache, s),
+                    sample_bits(&oracle, s),
+                    "case {case}, sample {s}"
+                );
+            }
+            let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&shared), bits(&l.grads()), "case {case}: gradients");
         }
     }
 

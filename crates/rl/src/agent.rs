@@ -145,7 +145,8 @@ impl<N: QNetwork> DqnAgent<N> {
         &self.online
     }
 
-    /// δ-greedy action selection under a validity mask.
+    /// δ-greedy action selection under a validity mask. The online
+    /// network runs only when the coin says exploit.
     ///
     /// # Errors
     ///
@@ -157,8 +158,8 @@ impl<N: QNetwork> DqnAgent<N> {
         epsilon: f64,
         rng: &mut R,
     ) -> Result<usize, RlError> {
-        let q = self.online.q_values(state);
-        epsilon_greedy(&q, mask, epsilon, rng).ok_or(RlError::NoValidAction)
+        epsilon_greedy(|| self.online.q_values(state), mask, epsilon, rng)
+            .ok_or(RlError::NoValidAction)
     }
 
     /// Stores an experience in the replay memory, forgetting the memoised

@@ -44,22 +44,25 @@ pub use transition::Transition;
 
 use rand::Rng;
 
-/// Selects an action ε-greedily from Q-values under a validity mask:
-/// with probability `epsilon` a uniformly random *valid* action, otherwise
-/// the valid action with the largest Q-value (ties toward lower indices).
+/// Selects an action ε-greedily under a validity mask: with probability
+/// `epsilon` a uniformly random *valid* action, otherwise the valid action
+/// with the largest Q-value (ties toward lower indices).
+///
+/// `q` computes the Q-values. It runs only when the coin says exploit, so
+/// an exploring step skips the Q-network forward. The random draws do not
+/// depend on it: the coin, then, when exploring, the index.
 ///
 /// Returns `None` if no action is valid.
 ///
 /// # Panics
 ///
-/// Panics if `q.len() != mask.len()`.
+/// Panics if the Q-values `q` returns differ in length from `mask`.
 pub fn epsilon_greedy<R: Rng + ?Sized>(
-    q: &[f64],
+    q: impl FnOnce() -> Vec<f64>,
     mask: &[bool],
     epsilon: f64,
     rng: &mut R,
 ) -> Option<usize> {
-    assert_eq!(q.len(), mask.len(), "q/mask length mismatch");
     let valid: Vec<usize> = mask
         .iter()
         .enumerate()
@@ -71,6 +74,8 @@ pub fn epsilon_greedy<R: Rng + ?Sized>(
     if rng.gen::<f64>() < epsilon {
         return Some(valid[rng.gen_range(0..valid.len())]);
     }
+    let q = q();
+    assert_eq!(q.len(), mask.len(), "q/mask length mismatch");
     valid
         .into_iter()
         .reduce(|best, i| if q[i] > q[best] { i } else { best })
@@ -101,7 +106,7 @@ mod tests {
         let q = [0.1, 0.9, 0.5];
         let mask = [true, true, true];
         for _ in 0..20 {
-            assert_eq!(epsilon_greedy(&q, &mask, 0.0, &mut rng), Some(1));
+            assert_eq!(epsilon_greedy(|| q.to_vec(), &mask, 0.0, &mut rng), Some(1));
         }
     }
 
@@ -112,7 +117,7 @@ mod tests {
         let mask = [true, false, true];
         for eps in [0.0, 0.5, 1.0] {
             for _ in 0..50 {
-                let a = epsilon_greedy(&q, &mask, eps, &mut rng).unwrap();
+                let a = epsilon_greedy(|| q.to_vec(), &mask, eps, &mut rng).unwrap();
                 assert_ne!(a, 1, "masked action selected at eps {eps}");
             }
         }
@@ -125,7 +130,7 @@ mod tests {
         let mask = [true, true, true];
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
-            seen.insert(epsilon_greedy(&q, &mask, 1.0, &mut rng).unwrap());
+            seen.insert(epsilon_greedy(|| q.to_vec(), &mask, 1.0, &mut rng).unwrap());
         }
         assert_eq!(seen.len(), 3, "full exploration should hit all actions");
     }
@@ -133,7 +138,37 @@ mod tests {
     #[test]
     fn epsilon_greedy_all_masked_is_none() {
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(epsilon_greedy(&[1.0], &[false], 0.5, &mut rng), None);
+        assert_eq!(epsilon_greedy(|| vec![1.0], &[false], 0.5, &mut rng), None);
+    }
+
+    #[test]
+    fn epsilon_greedy_computes_q_values_only_to_exploit() {
+        use rand::Rng;
+        let mask = [true, false, true, true];
+        for seed in 0..50 {
+            let mut lazy = StdRng::seed_from_u64(seed);
+            let mut draws = StdRng::seed_from_u64(seed);
+            let mut calls = 0;
+            let a = epsilon_greedy(
+                || {
+                    calls += 1;
+                    vec![0.2, 0.9, 0.7, 0.1]
+                },
+                &mask,
+                0.5,
+                &mut lazy,
+            );
+            // The coin, then the index among the three valid actions only
+            // when exploring.
+            if draws.gen::<f64>() < 0.5 {
+                assert_eq!(calls, 0, "seed {seed}: explored but ran the forward");
+                assert_eq!(a, Some([0, 2, 3][draws.gen_range(0..3usize)]));
+            } else {
+                assert_eq!(calls, 1, "seed {seed}");
+                assert_eq!(a, Some(2));
+            }
+            assert_eq!(lazy.gen::<u64>(), draws.gen::<u64>(), "seed {seed}: draws");
+        }
     }
 
     #[test]

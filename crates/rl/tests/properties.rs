@@ -19,7 +19,7 @@ proptest! {
         let q = &q[..n];
         let mask = &mask_bits[..n];
         let mut rng = StdRng::seed_from_u64(seed);
-        match epsilon_greedy(q, mask, eps, &mut rng) {
+        match epsilon_greedy(|| q.to_vec(), mask, eps, &mut rng) {
             Some(a) => prop_assert!(mask[a], "selected a masked action"),
             None => prop_assert!(mask.iter().all(|&b| !b)),
         }

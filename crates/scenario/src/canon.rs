@@ -20,7 +20,10 @@
 //! 2. **Execution-only fields are normalised out.** `runner.inner_threads`
 //!    is parsed and ignored, so it never changes one byte of the result
 //!    rows. It canonicalises to `null`, so older specs that still set it
-//!    keep sharing one cache entry with specs that do not.
+//!    keep sharing one cache entry with specs that do not. A DR-Cell
+//!    `hidden` width with `network = "Dense"` canonicalises to `null` the
+//!    same way: the dense DQN's layers are fixed, so the width never
+//!    reaches the run.
 //! 3. **Map keys sort.** Every map in the tree is sorted by key. The typed
 //!    serialiser already emits a fixed order, so this is defence in depth:
 //!    the canonical bytes stay stable even if struct fields are reordered
@@ -77,6 +80,33 @@ fn erase_execution_fields(value: &mut Value) {
     }
 }
 
+/// Normalises a DR-Cell policy's `hidden` to `null` when its network is
+/// `Dense`, which ignores the width, so dense specs that differ only there
+/// share one cache entry.
+fn erase_unused_policy_fields(value: &mut Value) {
+    let Value::Map(entries) = value else {
+        return;
+    };
+    let Some((_, Value::Map(policy))) = entries.iter_mut().find(|(k, _)| k == "policy") else {
+        return;
+    };
+    for (variant, fields) in policy.iter_mut() {
+        let (true, Value::Map(fields)) = (variant == "DrCell", fields) else {
+            continue;
+        };
+        let dense = fields
+            .iter()
+            .any(|(k, v)| k == "network" && matches!(v, Value::Str(n) if n == "Dense"));
+        if dense {
+            for (k, v) in fields.iter_mut() {
+                if k == "hidden" {
+                    *v = Value::Null;
+                }
+            }
+        }
+    }
+}
+
 impl ScenarioSpec {
     /// The canonical value tree of this spec: defaulted fields
     /// materialised, execution-only fields normalised out, map keys
@@ -85,6 +115,7 @@ impl ScenarioSpec {
     pub fn canonical_value(&self) -> Value {
         let mut v = self.to_value();
         erase_execution_fields(&mut v);
+        erase_unused_policy_fields(&mut v);
         sort_maps(&mut v);
         v
     }

@@ -298,7 +298,11 @@ pub enum PolicySpec {
     DrCell {
         /// Training episodes over the preliminary-study data.
         episodes: usize,
-        /// Hidden width of the Q-network.
+        /// Hidden width of the DRQN's LSTM. Ignored with
+        /// `network = Dense`, whose layers are fixed
+        /// (`TrainerConfig::mlp_hidden`): it is then neither checked
+        /// against the width cap nor part of the canonical form, so it
+        /// never changes a cache key.
         hidden: usize,
         /// Selection-history window `k`.
         history_k: usize,
@@ -356,7 +360,8 @@ impl PolicySpec {
     /// Returns [`ScenarioError::Invalid`] when a DR-Cell history window
     /// `history_k` exceeds the task's cycle count (the `k × cells` state
     /// matrix is sized from it, so an unchecked value from a spec file
-    /// could ask for terabytes) or its `hidden` width exceeds 1024;
+    /// could ask for terabytes) or a `hidden` width that reaches the
+    /// network exceeds 1024;
     /// propagates construction and training failures.
     pub fn build(
         &self,
@@ -364,18 +369,26 @@ impl PolicySpec {
         runner: &RunnerSpec,
         seed: u64,
     ) -> Result<Box<dyn CellSelectionPolicy>, ScenarioError> {
-        if let PolicySpec::DrCell {
-            history_k, hidden, ..
-        }
-        | PolicySpec::OnlineDrCell { history_k, hidden } = *self
-        {
+        // The history window and, where the network uses it, the hidden
+        // width (the dense DQN's layers are fixed).
+        let sizes = match *self {
+            PolicySpec::DrCell {
+                history_k,
+                hidden,
+                network,
+                ..
+            } => Some((history_k, (network == NetworkKind::Drqn).then_some(hidden))),
+            PolicySpec::OnlineDrCell { history_k, hidden } => Some((history_k, Some(hidden))),
+            _ => None,
+        };
+        if let Some((history_k, hidden)) = sizes {
             if history_k > task.cycles() {
                 return Err(ScenarioError::Invalid(format!(
                     "history_k = {history_k} exceeds the task's {} cycles",
                     task.cycles()
                 )));
             }
-            if hidden > MAX_HIDDEN {
+            if let Some(hidden) = hidden.filter(|&h| h > MAX_HIDDEN) {
                 return Err(ScenarioError::Invalid(format!(
                     "hidden = {hidden} exceeds the cap of {MAX_HIDDEN}"
                 )));
@@ -1024,6 +1037,21 @@ mod tests {
                 Ok(_) => panic!("{}: oversized hidden accepted", policy.label()),
             }
         }
+    }
+
+    #[test]
+    fn dense_policies_ignore_an_oversized_hidden() {
+        let spec = tiny_base();
+        let task = spec.build_task().unwrap();
+        let dense = PolicySpec::DrCell {
+            episodes: 1,
+            hidden: MAX_HIDDEN + 1,
+            history_k: 3,
+            network: NetworkKind::Dense,
+            reward_bonus: None,
+            cost: 1.0,
+        };
+        assert!(dense.build(&task, &spec.runner, spec.seed).is_ok());
     }
 
     #[test]

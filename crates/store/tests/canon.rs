@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize, Value};
 
 use drcell_datasets::{FieldConfig, PerturbationStack};
 use drcell_scenario::{
-    json, toml_cfg, DatasetSpec, PolicySpec, QualitySpec, RunnerSpec, ScenarioSpec,
+    json, toml_cfg, DatasetSpec, NetworkKind, PolicySpec, QualitySpec, RunnerSpec, ScenarioSpec,
 };
 use drcell_store::scenario_key;
 
@@ -211,5 +211,31 @@ proptest! {
         prop_assert_ne!(scenario_key(&retrained, 0), key.clone());
 
         prop_assert_ne!(scenario_key(&base, 1), key);
+    }
+
+    #[test]
+    fn dense_hidden_never_splits_an_entry(
+        seed in any::<u64>(),
+        a in 1usize..1024,
+        step in 1usize..1024,
+    ) {
+        let b = a + step;
+        let with = |network, hidden| {
+            let mut spec = tiny_base(seed);
+            spec.policy = PolicySpec::DrCell {
+                episodes: 2,
+                hidden,
+                history_k: 3,
+                network,
+                reward_bonus: None,
+                cost: 1.0,
+            };
+            scenario_key(&spec, 0)
+        };
+        // The dense DQN ignores `hidden`, so its key must too; the DRQN's
+        // LSTM width is semantic.
+        prop_assert_eq!(with(NetworkKind::Dense, a), with(NetworkKind::Dense, b));
+        prop_assert_ne!(with(NetworkKind::Drqn, a), with(NetworkKind::Drqn, b));
+        prop_assert_ne!(with(NetworkKind::Dense, a), with(NetworkKind::Drqn, a));
     }
 }

@@ -14,7 +14,10 @@
 //! carry most of the work. Two more pin DR-Cell itself at that shape,
 //! once with the DRQN and once with the dense Q-network. Their training
 //! runs across target-network syncs, so they also pin the memoised replay
-//! bootstraps to the rows that recomputing every bootstrap gave.
+//! bootstraps to the rows that recomputing every bootstrap gave. A fifth
+//! trains the DRQN at hidden 16 over two episodes, so its minibatches mix
+//! histories that share past-cycle rows with ones that do not; it pins
+//! the prefix-shared LSTM forward to the rows the unshared one gave.
 
 use drcell::datasets::PerturbationStack;
 use drcell::scenario::{
@@ -41,6 +44,10 @@ const PAPER_SCALE_DRQN_ROWS_SHA256: &str =
 /// SHA-256 of [`paper_scale_drcell`]`(NetworkKind::Dense)`'s JSONL rows.
 const PAPER_SCALE_DENSE_ROWS_SHA256: &str =
     "4a8fa309cb8cbc7b3c461b10722830342dd36fb34e2546315932faefb770a987";
+
+/// SHA-256 of [`multi_episode_drqn`]'s JSONL rows.
+const MULTI_EPISODE_DRQN_ROWS_SHA256: &str =
+    "614c2f47e3706191675c6d66bdec5e2e2c25f1e70fb1ed261097c5ff3f3019e7";
 
 /// Runs `spec` on one worker and returns its JSONL rows.
 fn rows_of(spec: &ScenarioSpec) -> Vec<u8> {
@@ -152,5 +159,40 @@ fn paper_scale_dense_rows_are_pinned() {
         Sha256::hex_digest(&rows_of(&paper_scale_drcell(NetworkKind::Dense))),
         PAPER_SCALE_DENSE_ROWS_SHA256,
         "paper-scale dense DR-Cell rows moved"
+    );
+}
+
+/// The DRQN at hidden 16 (the end-to-end benchmark's width), trained for
+/// two episodes over 4 cycles and tested on 2. Its replay holds transitions
+/// from many cycles, so training minibatches mix histories that share
+/// their past-cycle rows with ones that do not.
+fn multi_episode_drqn() -> ScenarioSpec {
+    let mut spec = paper_scale_drcell(NetworkKind::Drqn);
+    spec.name = "paper57-drqn-h16".to_owned();
+    spec.dataset = DatasetSpec::SensorScopeTemperature {
+        cells: 57,
+        grid_rows: 10,
+        grid_cols: 10,
+        cycles: 6,
+    };
+    spec.policy = PolicySpec::DrCell {
+        episodes: 2,
+        hidden: 16,
+        history_k: 3,
+        network: NetworkKind::Drqn,
+        reward_bonus: None,
+        cost: 1.0,
+    };
+    spec.runner.window = 4;
+    spec.train_cycles = 4;
+    spec
+}
+
+#[test]
+fn multi_episode_drqn_rows_are_pinned() {
+    assert_eq!(
+        Sha256::hex_digest(&rows_of(&multi_episode_drqn())),
+        MULTI_EPISODE_DRQN_ROWS_SHA256,
+        "two-episode DRQN rows moved"
     );
 }
